@@ -15,32 +15,30 @@ namespace rmt
 void
 SmtCpu::processEvents()
 {
-    while (!calendar.empty() && calendar.begin()->first <= now) {
-        // Take ownership: handlers may schedule new events.
-        std::vector<Event> batch = std::move(calendar.begin()->second);
-        calendar.erase(calendar.begin());
-        for (Event &ev : batch) {
-            if (ev.inst->squashed)
-                continue;
-            switch (ev.kind) {
-              case EvKind::Compute:
-                computeInst(ev.inst);
-                break;
-              case EvKind::ExecDone:
-                completeInst(ev.inst);
-                break;
-              case EvKind::MemAgen:
-                memAgen(ev.inst);
-                break;
-              case EvKind::StoreData:
-                storeDataArrive(ev.inst);
-                break;
-              case EvKind::LoadDone:
-                finishLoad(ev.inst, ev.payload);
-                break;
-            }
+    // Handlers only schedule into later cycles, which live in other
+    // slots, so this cycle's batch is stable while it runs.
+    for (const Event &ev : calendar.due(now)) {
+        if (ev.inst->squashed)
+            continue;
+        switch (ev.kind) {
+          case EvKind::Compute:
+            computeInst(ev.inst);
+            break;
+          case EvKind::ExecDone:
+            completeInst(ev.inst);
+            break;
+          case EvKind::MemAgen:
+            memAgen(ev.inst);
+            break;
+          case EvKind::StoreData:
+            storeDataArrive(ev.inst);
+            break;
+          case EvKind::LoadDone:
+            finishLoad(ev.inst, ev.payload);
+            break;
         }
     }
+    calendar.retire(now);
 }
 
 void

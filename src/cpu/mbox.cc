@@ -142,7 +142,7 @@ SmtCpu::finishLoad(const DynInstPtr &inst, std::uint64_t value)
     inst->result = value;
     writePhys(inst->pdst, value);
     if (inst->pdst != invalidPhysReg)
-        readyAt[inst->pdst] = now;
+        setReady(inst->pdst, now);
     inst->executed = true;
     inst->completed = true;
     inst->completeCycle = now;
@@ -173,6 +173,10 @@ SmtCpu::storeDataArrive(const DynInstPtr &inst)
     inst->executed = true;
     inst->completed = true;
     inst->completeCycle = now;
+    // Address and data are both in the SQ: loads held behind this store
+    // by store sets may issue.
+    if (!memDepWaiters.empty())
+        wakeMemDependents(inst);
 
     if (t.role == Role::Trailing) {
         if (_params.srt_store_comparison) {
@@ -364,7 +368,7 @@ SmtCpu::commitUncached(ThreadState &t, const DynInstPtr &inst)
         inst->result = value;
         writePhys(inst->pdst, value);
         if (inst->pdst != invalidPhysReg)
-            readyAt[inst->pdst] = now;
+            setReady(inst->pdst, now);
         inst->executed = true;
         inst->completed = true;
         inst->completeCycle = now;
