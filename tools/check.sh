@@ -110,6 +110,12 @@ attr_args="--modes base,base2,srt,lockstep,crt --workloads gcc,compress
 ./build/tools/rmtsim_batch $attr_args --out build/attr.jsonl
 ./build/tools/rmtsim_report --attribution build/attr.jsonl
 
+echo "== golden: commit traces and stats match recorded hashes =="
+# Scheduler and event-queue changes must not move a single cycle: the
+# suite hashes full commit traces and stats (host block removed) for
+# every mode and kernel, recovery, interrupts and snapshot restore.
+ctest --test-dir build -j "$jobs" -L golden --output-on-failure
+
 echo "== resilience: kill mid-campaign, --resume, byte-identical =="
 # A deterministic crash (the hidden --test-crash-trial hook) kills the
 # whole batch process mid-campaign in --no-fork mode.  The write-ahead
