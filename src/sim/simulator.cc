@@ -673,7 +673,7 @@ loadSparseMemory(Deserializer &d, DataMemory &m)
     if (d.u32() != snapshotPageBytes)
         throw SnapshotError("snapshot: memory page size mismatch");
 
-    std::fill_n(m.data(), m.size(), std::uint8_t{0});
+    m.clear();
     const std::uint32_t stored = d.u32();
     for (std::uint32_t i = 0; i < stored; ++i) {
         const std::uint64_t off =
