@@ -81,14 +81,20 @@ Daemon::run()
     while (!stopping.load()) {
         pollfd pfd{listen_fd, POLLIN, 0};
         const int n = ::poll(&pfd, 1, 200);
+        reapConnections();
         if (n <= 0)
             continue;   // timeout tick or EINTR: re-check the flag
         const int client = ::accept(listen_fd, nullptr, nullptr);
         if (client < 0)
             continue;
+        // The thread reports itself under conn_mu, so it is listed in
+        // `connections` before it can appear in `finished`.
         std::lock_guard<std::mutex> lock(conn_mu);
-        connections.emplace_back(
-            [this, client] { serveClient(client); });
+        connections.emplace_back([this, client] {
+            serveClient(client);
+            std::lock_guard<std::mutex> done(conn_mu);
+            finished.push_back(std::this_thread::get_id());
+        });
     }
 
     // Drain: no new connections, flag every live campaign so no new
@@ -108,6 +114,32 @@ Daemon::run()
         t.join();
     pool->wait();
     results.flush();
+}
+
+void
+Daemon::reapConnections()
+{
+    std::vector<std::thread> returned;
+    {
+        std::lock_guard<std::mutex> lock(conn_mu);
+        for (const std::thread::id id : finished) {
+            const auto it = std::find_if(
+                connections.begin(), connections.end(),
+                [id](const std::thread &t) { return t.get_id() == id; });
+            returned.push_back(std::move(*it));
+            connections.erase(it);
+        }
+        finished.clear();
+    }
+    for (std::thread &t : returned)
+        t.join();
+}
+
+std::size_t
+Daemon::connectionThreadsForTest() const
+{
+    std::lock_guard<std::mutex> lock(conn_mu);
+    return connections.size();
 }
 
 void

@@ -8,7 +8,8 @@
  * Execution model:
  *
  *  - one accept loop (poll + 200 ms tick so the SIGTERM drain flag is
- *    observed promptly), one detached-join thread per connection;
+ *    observed promptly), one thread per connection, which the accept
+ *    loop joins once it has returned;
  *  - a submit runs a *partition pass* on its connection thread: every
  *    job is tryClaim()ed against the store — hits are served
  *    immediately, owned jobs go to the shared pool, in-flight jobs
@@ -89,6 +90,9 @@ class Daemon
 
     const ResultStore &store() const { return results; }
 
+    /** Connection threads not yet joined (for tests). */
+    std::size_t connectionThreadsForTest() const;
+
   private:
     /** Per-campaign bookkeeping registered while a submit is live. */
     struct LiveCampaign
@@ -102,6 +106,8 @@ class Daemon
     void handleControl(int fd, const std::string &body);
     std::string statusJson();
     void cancelCampaigns(const std::string &fp_hex);
+    /** Join the connection threads that have returned. */
+    void reapConnections();
 
     DaemonConfig cfg;
     ResultStore results;
@@ -113,8 +119,9 @@ class Daemon
     std::vector<std::shared_ptr<LiveCampaign>> live;  ///< active submits
     std::uint64_t campaigns_done = 0;
 
-    std::mutex conn_mu;
+    mutable std::mutex conn_mu;
     std::vector<std::thread> connections;
+    std::vector<std::thread::id> finished;  ///< returned, not yet joined
 };
 
 #endif // POSIX

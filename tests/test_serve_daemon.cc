@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -167,6 +169,30 @@ TEST(ServeDaemon, ResubmissionIsByteIdenticalAndAllHits)
 
     EXPECT_FALSE(first.str().empty());
     EXPECT_EQ(first.str(), second.str());
+}
+
+TEST(ServeDaemon, FinishedConnectionThreadsAreJoined)
+{
+    TempDir dir("serve_daemon_reap");
+    DaemonFixture fx(dir.path);
+    constexpr int connections = 64;
+    std::size_t most = 0;
+    for (int i = 0; i < connections; ++i) {
+        const std::string reply =
+            controlRequest(fx.cfg.socket_path, "{\"type\":\"status\"}");
+        ASSERT_NE(reply.find("\"status\""), std::string::npos) << reply;
+        most = std::max(most, fx.daemon->connectionThreadsForTest());
+    }
+    // Each accept joins the threads that have returned, so only the
+    // last few connections can still hold one (how many depends on
+    // scheduling; keeping all of them would reach `connections`).
+    EXPECT_LT(most, std::size_t{connections / 2});
+
+    // With no new connections, the poll tick joins the rest.
+    for (int i = 0; i < 100 && fx.daemon->connectionThreadsForTest() > 0;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(fx.daemon->connectionThreadsForTest(), 0u);
 }
 
 TEST(ServeDaemon, StreamMatchesInProcessRun)
