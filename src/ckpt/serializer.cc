@@ -13,17 +13,38 @@ namespace
 
 constexpr char kMagic[8] = {'R', 'M', 'T', 'S', 'N', 'A', 'P', '\0'};
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/** Slicing-by-8 tables: table[0] is the bytewise CRC table, and
+ *  table[k][b] is the CRC of byte b followed by k zero bytes. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+    return t;
+}
+
+std::uint32_t
+le32At(const std::uint8_t *p)
+{
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}
+
+std::uint64_t
+le64At(const std::uint8_t *p)
+{
+    return std::uint64_t{le32At(p)} | std::uint64_t{le32At(p + 4)} << 32;
 }
 
 } // namespace
@@ -31,11 +52,19 @@ makeCrcTable()
 std::uint32_t
 crc32(const void *data, std::size_t size)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     const auto *p = static_cast<const std::uint8_t *>(data);
     std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; size >= 8; p += 8, size -= 8) {
+        const std::uint32_t lo = c ^ le32At(p);
+        const std::uint32_t hi = le32At(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++p, --size)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 
@@ -155,112 +184,23 @@ Serializer::finish(std::uint64_t fingerprint) const
     return out;
 }
 
-void
-validateSnapshotImage(const std::string &image,
-                      std::uint64_t expect_fingerprint)
-{
-    // Header checks (magic/version/fingerprint) are shared with the
-    // Deserializer constructor; the section walk below is what it
-    // cannot do up front, because apply-time consumption is lazy.
-    Deserializer header(image, expect_fingerprint);
-    (void)header;
-
-    auto le32 = [&](std::size_t at) {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(image[at + i]))
-                 << (8 * i);
-        return v;
-    };
-    auto le64 = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(image[at + i]))
-                 << (8 * i);
-        return v;
-    };
-
-    const std::uint32_t sections = le32(20);
-    std::size_t at = 24;
-    for (std::uint32_t i = 0; i < sections; ++i) {
-        const std::size_t section_start = at;
-        auto truncated = [&](const char *what) {
-            throw SnapshotError(
-                "snapshot: image truncated in " + std::string(what) +
-                " of section " + std::to_string(i) + " at byte offset " +
-                std::to_string(section_start) + " (image is " +
-                std::to_string(image.size()) + " bytes)");
-        };
-        if (image.size() - at < 4)
-            truncated("the name length");
-        const std::uint32_t name_len = le32(at);
-        at += 4;
-        if (image.size() - at < name_len)
-            truncated("the name");
-        const std::string name(image, at, name_len);
-        at += name_len;
-        if (image.size() - at < 8)
-            truncated("the payload length");
-        const std::uint64_t payload_len = le64(at);
-        at += 8;
-        // Two-step compare: a corrupt payload_len near 2^64 must not
-        // overflow the arithmetic into a passing check.
-        if (payload_len > image.size() - at ||
-            image.size() - at - payload_len < 4)
-            truncated(("the payload of '" + name + "'").c_str());
-        const std::uint32_t stored = le32(at + payload_len);
-        const std::uint32_t actual =
-            crc32(image.data() + at, static_cast<std::size_t>(payload_len));
-        if (stored != actual) {
-            throw SnapshotError(
-                "snapshot: section '" + name + "' (offset " +
-                std::to_string(section_start) +
-                ") failed its CRC check");
-        }
-        at += payload_len + 4;
-    }
-    if (at != image.size()) {
-        throw SnapshotError(
-            "snapshot: " + std::to_string(image.size() - at) +
-            " trailing bytes after the last section (offset " +
-            std::to_string(at) + ")");
-    }
-}
-
-Deserializer::Deserializer(std::string image,
+Deserializer::Deserializer(std::string_view image,
                            std::uint64_t expect_fingerprint)
-    : data(std::move(image))
+    : data(image)
 {
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(data.data());
     if (data.size() < 8 + 4 + 8 + 4)
         throw SnapshotError("snapshot: image truncated (no header)");
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0)
         throw SnapshotError("snapshot: bad magic (not a snapshot file)");
-    auto le32 = [&](std::size_t at) {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(data[at + i]))
-                 << (8 * i);
-        return v;
-    };
-    auto le64 = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(data[at + i]))
-                 << (8 * i);
-        return v;
-    };
-    const std::uint32_t version = le32(8);
+    const std::uint32_t version = le32At(bytes + 8);
     if (version != Serializer::formatVersion) {
         throw SnapshotError(
             "snapshot: format version " + std::to_string(version) +
             " (this build reads version " +
             std::to_string(Serializer::formatVersion) + ")");
     }
-    fp = le64(12);
+    fp = le64At(bytes + 12);
     if (fp != expect_fingerprint) {
         char buf[64];
         std::snprintf(buf, sizeof(buf),
@@ -272,8 +212,57 @@ Deserializer::Deserializer(std::string image,
                         "image was taken under ") + buf +
             " (run with the same configuration it was saved with)");
     }
-    sectionsLeft = le32(20);
-    nextSection = 24;
+
+    // Walk every section frame and check every CRC now, so that the
+    // caller applies nothing from an image that is damaged anywhere.
+    const std::uint32_t count = le32At(bytes + 20);
+    std::size_t at = 24;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::size_t section_start = at;
+        auto truncated = [&](const std::string &what) {
+            throw SnapshotError(
+                "snapshot: image truncated in " + what + " of section " +
+                std::to_string(i) + " at byte offset " +
+                std::to_string(section_start) + " (image is " +
+                std::to_string(data.size()) + " bytes)");
+        };
+        if (data.size() - at < 4)
+            truncated("the name length");
+        const std::uint32_t name_len = le32At(bytes + at);
+        at += 4;
+        if (data.size() - at < name_len)
+            truncated("the name");
+        Section sec;
+        sec.name = data.substr(at, name_len);
+        at += name_len;
+        if (data.size() - at < 8)
+            truncated("the payload length");
+        const std::uint64_t payload_len = le64At(bytes + at);
+        at += 8;
+        // Two-step compare: a corrupt payload_len near 2^64 must not
+        // overflow the arithmetic into a passing check.
+        if (payload_len > data.size() - at ||
+            data.size() - at - payload_len < 4) {
+            truncated("the payload of '" + std::string(sec.name) + "'");
+        }
+        sec.payload = at;
+        sec.length = static_cast<std::size_t>(payload_len);
+        if (le32At(bytes + at + sec.length) !=
+            crc32(bytes + at, sec.length)) {
+            throw SnapshotError(
+                "snapshot: section '" + std::string(sec.name) +
+                "' (offset " + std::to_string(section_start) +
+                ") failed its CRC check");
+        }
+        at += sec.length + 4;
+        sections.push_back(sec);
+    }
+    if (at != data.size()) {
+        throw SnapshotError(
+            "snapshot: " + std::to_string(data.size() - at) +
+            " trailing bytes after the last section (offset " +
+            std::to_string(at) + ")");
+    }
 }
 
 void
@@ -285,7 +274,7 @@ Deserializer::fail(const std::string &why) const
 void
 Deserializer::need(std::size_t n) const
 {
-    if (pos + n > payloadEnd) {
+    if (n > payloadEnd - pos) {
         fail("section '" + curName + "' truncated (needs " +
              std::to_string(n) + " more bytes)");
     }
@@ -296,53 +285,17 @@ Deserializer::beginSection(const std::string &name)
 {
     if (inSection)
         fail("section '" + curName + "' still open");
-    if (sectionsLeft == 0)
+    if (next == sections.size())
         fail("expected section '" + name + "' but image is exhausted");
-    std::size_t at = nextSection;
-    auto avail = [&](std::size_t n) {
-        if (at + n > data.size())
-            fail("image truncated in section header");
-    };
-    avail(4);
-    std::uint32_t name_len = 0;
-    for (int i = 0; i < 4; ++i)
-        name_len |= static_cast<std::uint32_t>(
-                        static_cast<std::uint8_t>(data[at + i]))
-                    << (8 * i);
-    at += 4;
-    avail(name_len);
-    curName.assign(data, at, name_len);
-    at += name_len;
-    avail(8);
-    std::uint64_t payload_len = 0;
-    for (int i = 0; i < 8; ++i)
-        payload_len |= static_cast<std::uint64_t>(
-                           static_cast<std::uint8_t>(data[at + i]))
-                       << (8 * i);
-    at += 8;
-    // Two-step compare: a corrupt payload_len near 2^64 must not
-    // overflow the arithmetic into a passing check.
-    if (payload_len > data.size() - at ||
-        data.size() - at - payload_len < 4)
-        fail("section '" + curName + "' truncated mid-payload");
+    const Section &sec = sections[next++];
+    curName = sec.name;
     if (curName != name) {
         fail("expected section '" + name + "' but found '" + curName +
              "'");
     }
-    std::uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i)
-        stored_crc |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
-                          data[at + payload_len + i]))
-                      << (8 * i);
-    const std::uint32_t actual =
-        crc32(data.data() + at, static_cast<std::size_t>(payload_len));
-    if (stored_crc != actual)
-        fail("section '" + curName + "' failed its CRC check");
-    pos = at;
-    payloadEnd = at + static_cast<std::size_t>(payload_len);
-    nextSection = payloadEnd + 4;
+    pos = sec.payload;
+    payloadEnd = sec.payload + sec.length;
     inSection = true;
-    --sectionsLeft;
 }
 
 void
@@ -368,40 +321,27 @@ std::uint16_t
 Deserializer::u16()
 {
     need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-        v = static_cast<std::uint16_t>(
-            v | static_cast<std::uint16_t>(
-                    static_cast<std::uint8_t>(data[pos + i]))
-                    << (8 * i));
+    const auto *p = reinterpret_cast<const std::uint8_t *>(data.data()) + pos;
     pos += 2;
-    return v;
+    return static_cast<std::uint16_t>(p[0] | p[1] << 8);
 }
 
 std::uint32_t
 Deserializer::u32()
 {
     need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<std::uint8_t>(data[pos + i]))
-             << (8 * i);
     pos += 4;
-    return v;
+    return le32At(reinterpret_cast<const std::uint8_t *>(data.data()) +
+                  pos - 4);
 }
 
 std::uint64_t
 Deserializer::u64()
 {
     need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(data[pos + i]))
-             << (8 * i);
     pos += 8;
-    return v;
+    return le64At(reinterpret_cast<const std::uint8_t *>(data.data()) +
+                  pos - 8);
 }
 
 double
@@ -410,24 +350,35 @@ Deserializer::f64()
     return std::bit_cast<double>(u64());
 }
 
+bool
+Deserializer::boolean()
+{
+    const std::uint8_t v = u8();
+    if (v > 1) {
+        fail("section '" + curName + "' holds " + std::to_string(v) +
+             " where a boolean was expected");
+    }
+    return v != 0;
+}
+
 std::string
 Deserializer::str()
 {
     const std::uint32_t n = u32();
     need(n);
-    std::string s(data, pos, n);
+    std::string s(data.substr(pos, n));
     pos += n;
     return s;
 }
 
-std::vector<std::uint8_t>
+std::span<const std::uint8_t>
 Deserializer::blob()
 {
     const std::uint64_t n = u64();
     need(static_cast<std::size_t>(n));
-    std::vector<std::uint8_t> out(
-        data.begin() + static_cast<std::ptrdiff_t>(pos),
-        data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    const std::span<const std::uint8_t> out(
+        reinterpret_cast<const std::uint8_t *>(data.data()) + pos,
+        static_cast<std::size_t>(n));
     pos += static_cast<std::size_t>(n);
     return out;
 }

@@ -11,10 +11,12 @@
  *
  * All integers are little-endian regardless of host byte order, so an
  * image written on one machine restores on any other.  Every section
- * carries its own CRC; the Deserializer verifies the CRC, the section
- * name, and exact payload consumption, and throws SnapshotError on the
- * first disagreement — a truncated, corrupted, or mismatched image can
- * never restore into a half-written machine.
+ * carries its own CRC.  The Deserializer checks the header, every
+ * section frame, every CRC and exact end-of-image once, when it is
+ * constructed, and then the section name and exact payload consumption
+ * as the caller reads; it throws SnapshotError on the first
+ * disagreement, so a truncated or corrupted image is rejected before
+ * the caller has applied a byte of it.
  *
  * The header fingerprint pins the image to one simulator configuration:
  * restoring under different SimOptions (which would change the barrier
@@ -25,8 +27,10 @@
 #define RMTSIM_CKPT_SERIALIZER_HH
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rmt
@@ -41,21 +45,9 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** CRC32 (IEEE 802.3 polynomial) of @p data. */
+/** CRC32 (IEEE 802.3 polynomial, reflected) of @p data, computed
+ *  eight bytes at a time (slicing-by-8). */
 std::uint32_t crc32(const void *data, std::size_t size);
-
-/**
- * Structurally validate a whole snapshot image — header (magic,
- * version, @p expect_fingerprint), every section frame, every section
- * CRC, and exact end-of-image — WITHOUT applying anything.  Throws
- * SnapshotError naming the damaged section and its byte offset, so a
- * truncated download or a torn write is diagnosable from the message
- * alone.  Restore paths call this first: an image that fails here is
- * rejected before any machine state has been touched, never
- * half-applied.
- */
-void validateSnapshotImage(const std::string &image,
-                           std::uint64_t expect_fingerprint);
 
 /** Builds a snapshot image section by section. */
 class Serializer
@@ -95,17 +87,25 @@ class Serializer
     std::uint32_t sections = 0;
 };
 
-/** Reads a snapshot image produced by Serializer, validating as it
- *  goes.  Sections must be consumed in write order. */
+/** Reads a snapshot image produced by Serializer, in place: the
+ *  caller's image must outlive the Deserializer.  Sections must be
+ *  consumed in write order. */
 class Deserializer
 {
   public:
-    /** Parse the header; throws SnapshotError unless magic, version
-     *  and fingerprint all match. */
-    Deserializer(std::string image, std::uint64_t expect_fingerprint);
+    /**
+     * Structurally validate the whole image — header (magic, version,
+     * @p expect_fingerprint), every section frame, every section CRC,
+     * and exact end-of-image — without applying anything.  Throws
+     * SnapshotError naming the damaged section and its byte offset, so
+     * a truncated download or a torn write is diagnosable from the
+     * message alone.
+     */
+    Deserializer(std::string_view image, std::uint64_t expect_fingerprint);
+    /** The image is read in place, so a temporary cannot be one. */
+    Deserializer(std::string &&, std::uint64_t) = delete;
 
-    /** Enter the next section; throws unless its name is @p name and
-     *  its payload CRC verifies. */
+    /** Enter the next section; throws unless its name is @p name. */
     void beginSection(const std::string &name);
     /** Leave the section; throws unless the payload was consumed
      *  exactly. */
@@ -117,22 +117,32 @@ class Deserializer
     std::uint64_t u64();
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64();
-    bool boolean() { return u8() != 0; }
+    /** Throws unless the byte is 0 or 1, the only values written. */
+    bool boolean();
     std::string str();
-    std::vector<std::uint8_t> blob();
+    /** Length-prefixed byte blob, viewed in place in the image. */
+    std::span<const std::uint8_t> blob();
 
     /** Fingerprint carried in the image header. */
     std::uint64_t fingerprint() const { return fp; }
 
   private:
+    /** Where one validated section sits in the image. */
+    struct Section
+    {
+        std::string_view name;
+        std::size_t payload = 0;    ///< offset of the payload
+        std::size_t length = 0;     ///< payload bytes
+    };
+
     void need(std::size_t n) const;
     [[noreturn]] void fail(const std::string &why) const;
 
-    std::string data;
+    std::string_view data;
+    std::vector<Section> sections;
+    std::size_t next = 0;       ///< index of the next section to enter
     std::size_t pos = 0;        ///< cursor within the current payload
     std::size_t payloadEnd = 0; ///< one past the current payload
-    std::size_t nextSection = 0;///< offset of the next section header
-    std::uint32_t sectionsLeft = 0;
     bool inSection = false;
     std::string curName;
     std::uint64_t fp = 0;

@@ -156,8 +156,11 @@ Chip::loadState(Deserializer &d)
 {
     if (d.u32() != cores.size())
         throw SnapshotError("chip: core count mismatch");
-    for (auto &core : cores)
+    for (auto &core : cores) {
         core->loadState(d);
+        if (core->cycle() != cycle())
+            throw SnapshotError("chip: cores disagree on the cycle");
+    }
 
     mem.l2().loadState(d);
     mem.mainMemory().loadState(d);
@@ -168,6 +171,9 @@ Chip::loadState(Deserializer &d)
             for (std::uint32_t i = 0; i < n; ++i) {
                 const Addr block = d.u64();
                 const Cycle ready = d.u64();
+                // Saved sorted, one fill per block.
+                if (!fills.empty() && block <= fills.back().first)
+                    throw SnapshotError("chip: pending fills out of order");
                 fills.emplace_back(block, ready);
             }
             mem.importPending(l1, fills);

@@ -149,8 +149,9 @@ SmtCpu::addThread(ThreadId tid, const Program &program, DataMemory &memory,
 
     if (_params.cosim) {
         t.refMem = std::make_unique<DataMemory>(memory.size());
-        std::copy(memory.data(), memory.data() + memory.size(),
-                  t.refMem->data());
+        memory.forEachTouchedPage([&](std::size_t p) {
+            t.refMem->loadPage(p, memory.page(p));
+        });
         t.ref = std::make_unique<ArchState>(program, *t.refMem);
     }
 
@@ -646,7 +647,10 @@ SmtCpu::loadState(Deserializer &d)
             continue;
         t.fetchPc = d.u64();
         t.fetchStallUntil = d.u64();
-        t.fetchStallReason = static_cast<FetchStall>(d.u32());
+        const std::uint32_t stall = d.u32();
+        if (stall > static_cast<std::uint32_t>(FetchStall::Redirect))
+            throw SnapshotError("core: unknown fetch-stall reason");
+        t.fetchStallReason = static_cast<FetchStall>(stall);
         t.fetchHalted = d.boolean();
         t.nextSeq = d.u64();
         for (unsigned r = 0; r < numArchRegs; ++r) {

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <cstring>
 #include <new>
 
 #include "common/logging.hh"
@@ -60,7 +61,8 @@ ProgramBuilder::build()
     return Program(insts, _name);
 }
 
-DataMemory::DataMemory(std::size_t size_bytes) : bytes(size_bytes)
+DataMemory::DataMemory(std::size_t size_bytes)
+    : bytes(size_bytes), touchedBits((pageCount() + 63) / 64, 0)
 {
     if (bytes == 0)
         return;
@@ -84,6 +86,21 @@ DataMemory::clear()
     // zero on its next touch.
     if (mem && madvise(mem, bytes, MADV_DONTNEED) != 0)
         std::fill_n(mem, bytes, std::uint8_t{0});
+    std::fill(touchedBits.begin(), touchedBits.end(), 0);
+}
+
+bool
+DataMemory::pageIsZero(std::size_t p) const
+{
+    static const std::uint8_t zero[pageBytes] = {};
+    return std::memcmp(page(p), zero, pageLen(p)) == 0;
+}
+
+void
+DataMemory::loadPage(std::size_t p, const std::uint8_t *src)
+{
+    markTouched(p);
+    std::copy_n(src, pageLen(p), mem + p * pageBytes);
 }
 
 } // namespace rmt

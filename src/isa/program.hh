@@ -8,6 +8,8 @@
 #ifndef RMTSIM_ISA_PROGRAM_HH
 #define RMTSIM_ISA_PROGRAM_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -249,10 +251,19 @@ class ProgramBuilder
  * supplies a page only when it is first touched, so a multi-megabyte
  * image costs neither a memset at construction nor resident memory for
  * the pages a program never uses.  Images are never copied.
+ *
+ * Every write records the page(s) it lands on in a touched-page bitmap,
+ * so consumers of a whole image (snapshot save, the fault oracle's
+ * compare, the cosim reference copy) walk only the touched pages.  The
+ * invariant they rely on: a page that was never touched reads zero, so
+ * the touched set holds every non-zero page.  Only clear() shrinks it.
  */
 class DataMemory
 {
   public:
+    /** Granule of the touched-page record and of sparse images. */
+    static constexpr std::size_t pageBytes = 4096;
+
     explicit DataMemory(std::size_t size_bytes);
     ~DataMemory();
 
@@ -283,23 +294,75 @@ class DataMemory
     void
     write(Addr addr, unsigned n, std::uint64_t value)
     {
-        if (!inBounds(addr, n))
+        if (n == 0 || !inBounds(addr, n))
             return;
+        markTouched(addr / pageBytes);
+        markTouched((addr + n - 1) / pageBytes);
         for (unsigned i = 0; i < n; ++i)
             mem[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
 
-    /** Zero the whole image.  Only pages already touched cost work:
-     *  they go back to the kernel and read as zero again. */
+    /** Zero the whole image and empty the touched set.  Only pages
+     *  already touched cost work: they go back to the kernel and read
+     *  as zero again. */
     void clear();
 
-    /** Raw access for workload initialisation. */
-    std::uint8_t *data() { return mem; }
+    /** Number of pages, counting a partial last page. */
+    std::size_t
+    pageCount() const
+    {
+        return (bytes + pageBytes - 1) / pageBytes;
+    }
+
+    /** Bytes in page @p p: pageBytes, or less for a partial last page. */
+    std::size_t
+    pageLen(std::size_t p) const
+    {
+        return std::min(pageBytes, bytes - p * pageBytes);
+    }
+
+    /** Contents of page @p p (pageLen(p) bytes). */
+    const std::uint8_t *page(std::size_t p) const
+    {
+        return mem + p * pageBytes;
+    }
+
+    /** True if page @p p reads all zero. */
+    bool pageIsZero(std::size_t p) const;
+
+    /** Call @p fn(p) for every touched page, in ascending order. */
+    template <typename Fn>
+    void
+    forEachTouchedPage(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < touchedBits.size(); ++w) {
+            for (std::uint64_t bits = touchedBits[w]; bits;
+                 bits &= bits - 1) {
+                fn(w * 64 + static_cast<std::size_t>(
+                                std::countr_zero(bits)));
+            }
+        }
+    }
+
+    /** Overwrite page @p p with pageLen(p) bytes from @p src and mark
+     *  it touched. */
+    void loadPage(std::size_t p, const std::uint8_t *src);
+
+    /** Read-only view of the whole image.  Reading an untouched page
+     *  through it maps that page in, so image-wide consumers use the
+     *  page walk instead. */
     const std::uint8_t *data() const { return mem; }
 
   private:
+    void
+    markTouched(std::size_t p)
+    {
+        touchedBits[p / 64] |= std::uint64_t{1} << (p % 64);
+    }
+
     std::uint8_t *mem = nullptr;
     std::size_t bytes = 0;
+    std::vector<std::uint64_t> touchedBits;  ///< one bit per page
 };
 
 } // namespace rmt

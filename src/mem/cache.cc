@@ -161,10 +161,12 @@ Cache::loadState(Deserializer &d)
         line.lru = 0;
     }
     const std::uint64_t valid = d.u64();
+    std::uint64_t lowest = 0;   // lines are saved in ascending order
     for (std::uint64_t i = 0; i < valid; ++i) {
         const std::uint64_t idx = d.u64();
-        if (idx >= lines.size())
-            throw SnapshotError("cache: line index out of range");
+        if (idx < lowest || idx >= lines.size())
+            throw SnapshotError("cache: line index out of order or range");
+        lowest = idx + 1;
         Line &line = lines[idx];
         line.valid = true;
         line.tag = d.u64();

@@ -17,14 +17,54 @@ verdictName(FaultVerdict verdict)
     return "?";
 }
 
-std::vector<std::uint8_t>
+GoldenImage::GoldenImage(const DataMemory &mem) : bytes(mem.size())
+{
+    mem.forEachTouchedPage([&](std::size_t p) {
+        if (mem.pageIsZero(p))
+            return;
+        pages.push_back(p);
+        contents.insert(contents.end(), mem.page(p),
+                        mem.page(p) + mem.pageLen(p));
+        contents.resize(pages.size() * DataMemory::pageBytes);
+    });
+}
+
+bool
+GoldenImage::matches(const DataMemory &mem) const
+{
+    if (mem.size() != bytes)
+        return false;
+    // Every golden page must be touched and equal; every other touched
+    // page must still be zero.  Untouched pages read zero, so they
+    // match a page the golden does not hold and are never read.
+    std::size_t next = 0;   // first golden page not yet compared
+    bool same = true;
+    mem.forEachTouchedPage([&](std::size_t p) {
+        if (!same)
+            return;
+        if (next < pages.size() && pages[next] < p) {
+            same = false;   // a golden page the trial never touched
+            return;
+        }
+        if (next < pages.size() && pages[next] == p) {
+            same = std::memcmp(mem.page(p),
+                               &contents[next * DataMemory::pageBytes],
+                               mem.pageLen(p)) == 0;
+            ++next;
+        } else {
+            same = mem.pageIsZero(p);
+        }
+    });
+    return same && next == pages.size();
+}
+
+GoldenImage
 FaultOracle::goldenImage(const std::vector<std::string> &workloads,
                          const SimOptions &options, unsigned logical)
 {
     Simulation sim(workloads, options);
     sim.run();
-    const DataMemory &mem = sim.memory(logical);
-    return {mem.data(), mem.data() + mem.size()};
+    return GoldenImage(sim.memory(logical));
 }
 
 namespace
@@ -80,10 +120,7 @@ FaultOracle::classify(Simulation &sim, const RunResult &result,
         report.detections = result.detections;
     }
 
-    const DataMemory &mem = sim.memory(logical);
-    report.memory_corrupted =
-        mem.size() != golden.size() ||
-        std::memcmp(mem.data(), golden.data(), golden.size()) != 0;
+    report.memory_corrupted = !golden.matches(sim.memory(logical));
 
     if (report.detections > 0)
         report.verdict = FaultVerdict::Detected;

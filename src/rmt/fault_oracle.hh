@@ -48,6 +48,30 @@ struct FaultTrialReport
     int faulted_pair = -1;              ///< -1 when no pair applies
 };
 
+/**
+ * A final memory image kept sparsely: only its non-zero pages, in
+ * ascending page order.  Comparing it against a DataMemory reads only
+ * the pages that memory has touched, because an untouched page reads
+ * zero.
+ */
+class GoldenImage
+{
+  public:
+    /** Copy the non-zero pages of @p mem. */
+    explicit GoldenImage(const DataMemory &mem);
+
+    /** True iff @p mem holds exactly this image, byte for byte. */
+    bool matches(const DataMemory &mem) const;
+
+    /** Number of non-zero pages held. */
+    std::size_t storedPages() const { return pages.size(); }
+
+  private:
+    std::size_t bytes = 0;              ///< image size, zero pages included
+    std::vector<std::size_t> pages;     ///< ascending page indices
+    std::vector<std::uint8_t> contents; ///< pageBytes per stored page
+};
+
 class FaultOracle
 {
   public:
@@ -56,12 +80,11 @@ class FaultOracle
      * fault-free run of @p workloads under @p options — the reference
      * every faulted trial's memory is compared against.
      */
-    static std::vector<std::uint8_t>
+    static GoldenImage
     goldenImage(const std::vector<std::string> &workloads,
                 const SimOptions &options, unsigned logical = 0);
 
-    explicit FaultOracle(std::vector<std::uint8_t> golden,
-                         unsigned logical = 0)
+    explicit FaultOracle(GoldenImage golden, unsigned logical = 0)
         : golden(std::move(golden)), logical(logical)
     {
     }
@@ -75,7 +98,7 @@ class FaultOracle
                               const FaultRecord &fault) const;
 
   private:
-    std::vector<std::uint8_t> golden;
+    GoldenImage golden;
     unsigned logical;
 };
 

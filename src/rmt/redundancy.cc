@@ -250,7 +250,11 @@ RedundantPair::loadState(Deserializer &d)
     events.clear();
     for (std::uint32_t i = 0; i < n; ++i) {
         DetectionEvent e;
-        e.kind = static_cast<DetectionKind>(d.u8());
+        const std::uint8_t kind = d.u8();
+        if (kind > static_cast<std::uint8_t>(
+                       DetectionKind::ControlDivergence))
+            throw SnapshotError("pair: unknown detection kind");
+        e.kind = static_cast<DetectionKind>(kind);
         e.cycle = d.u64();
         events.push_back(e);
     }

@@ -1,8 +1,8 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 #include "ckpt/serializer.hh"
@@ -629,39 +629,28 @@ namespace
 /**
  * Data images are huge and almost entirely zero (the workloads touch a
  * small fraction of their address space), so the "memory" section stores
- * only the nonzero 4 KiB pages: total size, page size, page count, then
- * (page index, page bytes) per stored page.  Restore zero-fills first,
- * which is exact — the saved state fully defines the image.
+ * only the nonzero pages: total size, page size, page count, then
+ * (page index, page bytes) per stored page, in ascending page order.
+ * Only touched pages can be nonzero, so save walks just those.  Restore
+ * zero-fills first, which is exact — the saved state fully defines the
+ * image — and accepts only what save writes, so a restored image saves
+ * back byte for byte.
  */
-constexpr std::size_t snapshotPageBytes = 4096;
-
 void
 saveSparseMemory(Serializer &s, const DataMemory &m)
 {
-    const std::uint8_t *bytes = m.data();
-    const std::size_t size = m.size();
-    const std::size_t pages =
-        (size + snapshotPageBytes - 1) / snapshotPageBytes;
+    std::vector<std::uint32_t> nonzero;
+    m.forEachTouchedPage([&](std::size_t p) {
+        if (!m.pageIsZero(p))
+            nonzero.push_back(static_cast<std::uint32_t>(p));
+    });
 
-    static const std::uint8_t zero[snapshotPageBytes] = {};
-    const auto pageLen = [size](std::size_t p) {
-        return std::min(snapshotPageBytes, size - p * snapshotPageBytes);
-    };
-
-    std::uint32_t nonzero = 0;
-    for (std::size_t p = 0; p < pages; ++p) {
-        if (std::memcmp(bytes + p * snapshotPageBytes, zero, pageLen(p)))
-            ++nonzero;
-    }
-
-    s.u64(size);
-    s.u32(static_cast<std::uint32_t>(snapshotPageBytes));
-    s.u32(nonzero);
-    for (std::size_t p = 0; p < pages; ++p) {
-        if (std::memcmp(bytes + p * snapshotPageBytes, zero, pageLen(p))) {
-            s.u32(static_cast<std::uint32_t>(p));
-            s.blob(bytes + p * snapshotPageBytes, pageLen(p));
-        }
+    s.u64(m.size());
+    s.u32(static_cast<std::uint32_t>(DataMemory::pageBytes));
+    s.u32(static_cast<std::uint32_t>(nonzero.size()));
+    for (const std::uint32_t p : nonzero) {
+        s.u32(p);
+        s.blob(m.page(p), m.pageLen(p));
     }
 }
 
@@ -670,18 +659,24 @@ loadSparseMemory(Deserializer &d, DataMemory &m)
 {
     if (d.u64() != m.size())
         throw SnapshotError("snapshot: memory image size mismatch");
-    if (d.u32() != snapshotPageBytes)
+    if (d.u32() != DataMemory::pageBytes)
         throw SnapshotError("snapshot: memory page size mismatch");
 
     m.clear();
     const std::uint32_t stored = d.u32();
+    std::size_t lowest = 0;     // pages are stored in ascending order
     for (std::uint32_t i = 0; i < stored; ++i) {
-        const std::uint64_t off =
-            std::uint64_t{d.u32()} * snapshotPageBytes;
-        const std::vector<std::uint8_t> page = d.blob();
-        if (off + page.size() > m.size())
-            throw SnapshotError("snapshot: memory page out of range");
-        std::copy(page.begin(), page.end(), m.data() + off);
+        const std::size_t p = d.u32();
+        if (p < lowest || p >= m.pageCount())
+            throw SnapshotError("snapshot: memory page out of order or "
+                                "out of range");
+        const std::span<const std::uint8_t> page = d.blob();
+        if (page.size() != m.pageLen(p))
+            throw SnapshotError("snapshot: memory page length mismatch");
+        m.loadPage(p, page.data());
+        if (m.pageIsZero(p))
+            throw SnapshotError("snapshot: zero memory page stored");
+        lowest = p + 1;
     }
 }
 
@@ -737,14 +732,32 @@ Simulation::restoreSnapshotBuffer(const std::string &image)
             "restore requires a freshly built simulation");
     }
 
-    // Whole-image structural validation (header, every section frame,
-    // every CRC) before a single byte is applied: a truncated or
-    // corrupted image must reject with the machine still pristine,
-    // never half-restored.
-    validateSnapshotImage(image, optionsFingerprintU64(opts));
-
+    // The Deserializer validates the whole image (header, every section
+    // frame, every CRC) before a single byte is applied.  A well-framed
+    // payload the machine rejects part-way through puts the machine back
+    // as it was built, so a failed restore never leaves it half-restored.
     Deserializer d(image, optionsFingerprintU64(opts));
+    Cycle cyc = 0;
+    try {
+        cyc = applySnapshot(d);
+    } catch (const SnapshotError &) {
+        std::vector<std::string> names;
+        for (const Workload &w : workloads)
+            names.push_back(w.name);
+        const std::string built =
+            Simulation(names, opts).saveSnapshotBuffer();
+        Deserializer reset(built, optionsFingerprintU64(opts));
+        applySnapshot(reset);
+        throw;
+    }
 
+    restoredAt = cyc;
+    injector.setRestoredCycle(cyc);
+}
+
+Cycle
+Simulation::applySnapshot(Deserializer &d)
+{
     d.beginSection("meta");
     const Cycle cyc = d.u64();
     if (d.u32() != workloads.size())
@@ -758,6 +771,8 @@ Simulation::restoreSnapshotBuffer(const std::string &image)
     d.beginSection("chip");
     _chip->loadState(d);
     d.endSection();
+    if (_chip->cycle() != cyc)
+        throw SnapshotError("snapshot: meta and chip disagree on the cycle");
 
     d.beginSection("memory");
     if (d.u32() != memories.size())
@@ -771,9 +786,7 @@ Simulation::restoreSnapshotBuffer(const std::string &image)
     d.endSection();
 
     loadChipStats(d, *_chip);
-
-    restoredAt = cyc;
-    injector.setRestoredCycle(cyc);
+    return cyc;
 }
 
 void

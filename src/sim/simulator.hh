@@ -236,7 +236,9 @@ class Simulation
      * Restore a snapshot image into this freshly built (never run)
      * simulation.  The image must have been taken under the same
      * workloads and options (fingerprint-checked); run() then continues
-     * from the saved cycle, byte-identical to an unbroken run.
+     * from the saved cycle, byte-identical to an unbroken run.  Throws
+     * SnapshotError on any image that save would not have written, and
+     * then leaves the simulation exactly as it was built.
      */
     void restoreSnapshotBuffer(const std::string &image);
 
@@ -255,6 +257,8 @@ class Simulation
     void buildBase(bool base2);
     void buildSrt();
     void buildCrt();
+    /** Apply every section of @p d; returns the image's cycle. */
+    Cycle applySnapshot(Deserializer &d);
 
     SimOptions opts;
     std::string statsJsonPrefix;    ///< cached invariant stats-JSON head

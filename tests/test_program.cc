@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "isa/program.hh"
 
 using namespace rmt;
@@ -94,4 +96,96 @@ TEST(DataMemory, OutOfBoundsIsBenign)
     EXPECT_TRUE(mem.inBounds(56, 8));
     // Wrap-around addresses must not pass the bounds check.
     EXPECT_FALSE(mem.inBounds(~Addr{0}, 8));
+}
+
+namespace
+{
+
+std::vector<std::size_t>
+touchedPages(const DataMemory &mem)
+{
+    std::vector<std::size_t> pages;
+    mem.forEachTouchedPage([&](std::size_t p) { pages.push_back(p); });
+    return pages;
+}
+
+} // namespace
+
+TEST(DataMemory, FreshImageHasNoTouchedPages)
+{
+    DataMemory mem(16 * DataMemory::pageBytes);
+    EXPECT_EQ(mem.pageCount(), 16u);
+    EXPECT_TRUE(touchedPages(mem).empty());
+    EXPECT_EQ(mem.read(5 * DataMemory::pageBytes, 8), 0u);
+    EXPECT_TRUE(touchedPages(mem).empty());     // reads touch nothing
+}
+
+TEST(DataMemory, ZeroedPageStaysTouchedButReadsZero)
+{
+    DataMemory mem(8 * DataMemory::pageBytes);
+    const Addr at = 3 * DataMemory::pageBytes + 40;
+    mem.write(at, 8, 0xdeadbeefull);
+    mem.write(at, 8, 0);
+    EXPECT_EQ(touchedPages(mem), std::vector<std::size_t>{3});
+    EXPECT_TRUE(mem.pageIsZero(3));
+}
+
+TEST(DataMemory, StraddlingWriteMarksBothPages)
+{
+    DataMemory mem(8 * DataMemory::pageBytes);
+    mem.write(2 * DataMemory::pageBytes - 3, 8, ~0ull);
+    EXPECT_EQ(touchedPages(mem), (std::vector<std::size_t>{1, 2}));
+    EXPECT_FALSE(mem.pageIsZero(1));
+    EXPECT_FALSE(mem.pageIsZero(2));
+}
+
+TEST(DataMemory, OutOfBoundsWriteMarksNothing)
+{
+    DataMemory mem(2 * DataMemory::pageBytes);
+    mem.write(2 * DataMemory::pageBytes, 1, 1);
+    mem.write(2 * DataMemory::pageBytes - 4, 8, 1);    // straddles the end
+    mem.write(~Addr{0} - 2, 8, 1);                      // wraps around
+    EXPECT_TRUE(touchedPages(mem).empty());
+}
+
+TEST(DataMemory, ClearEmptiesTheTouchedSet)
+{
+    DataMemory mem(64 * DataMemory::pageBytes);
+    for (std::size_t p : {0u, 9u, 63u})
+        mem.write(p * DataMemory::pageBytes + 8, 4, 0x1234);
+    EXPECT_EQ(touchedPages(mem), (std::vector<std::size_t>{0, 9, 63}));
+    mem.clear();
+    EXPECT_TRUE(touchedPages(mem).empty());
+    EXPECT_EQ(mem.read(9 * DataMemory::pageBytes + 8, 4), 0u);
+}
+
+TEST(DataMemory, PartialLastPage)
+{
+    const std::size_t size = 2 * DataMemory::pageBytes + 100;
+    DataMemory mem(size);
+    EXPECT_EQ(mem.pageCount(), 3u);
+    EXPECT_EQ(mem.pageLen(1), DataMemory::pageBytes);
+    EXPECT_EQ(mem.pageLen(2), 100u);
+    mem.write(size - 8, 8, 0x0102030405060708ull);
+    EXPECT_EQ(touchedPages(mem), std::vector<std::size_t>{2});
+    EXPECT_FALSE(mem.pageIsZero(2));
+
+    std::vector<std::uint8_t> page(100, 0);
+    page[99] = 7;
+    DataMemory copy(size);
+    copy.loadPage(2, page.data());
+    EXPECT_EQ(touchedPages(copy), std::vector<std::size_t>{2});
+    EXPECT_EQ(copy.read(size - 1, 1), 7u);
+}
+
+TEST(DataMemory, LoadPageMarksAndCopiesOnePage)
+{
+    DataMemory mem(4 * DataMemory::pageBytes);
+    std::vector<std::uint8_t> page(DataMemory::pageBytes, 0xab);
+    mem.loadPage(1, page.data());
+    EXPECT_EQ(touchedPages(mem), std::vector<std::size_t>{1});
+    EXPECT_EQ(mem.read(DataMemory::pageBytes - 1, 1), 0u);
+    EXPECT_EQ(mem.read(DataMemory::pageBytes, 1), 0xabu);
+    EXPECT_EQ(mem.read(2 * DataMemory::pageBytes - 1, 1), 0xabu);
+    EXPECT_EQ(mem.read(2 * DataMemory::pageBytes, 1), 0u);
 }
