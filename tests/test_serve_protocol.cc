@@ -11,7 +11,13 @@
  *    bytes, an oversized length, and a connection cut mid-frame — all
  *    surface as wire::WireError, never as silent short reads;
  *  - reads are EINTR-safe: a stream of signals delivered to a blocked
- *    reader (no SA_RESTART) does not tear a frame.
+ *    reader (no SA_RESTART) does not tear a frame;
+ *  - the drift check rejects every options object that does not
+ *    round-trip (extra, missing, reordered or duplicate members, -0,
+ *    exponent-rendered integers, booleans), with its message, even when
+ *    an identical-looking valid object came earlier in the submit;
+ *  - wire::FrameDecoder yields frames in order from one large buffer
+ *    or from single bytes, and keeps truncated() and its errors.
  */
 
 #include <gtest/gtest.h>
@@ -155,6 +161,196 @@ TEST(ServeCodec, RejectsUnknownNames)
     EXPECT_THROW(parseSubmit(v, timing), std::invalid_argument);
 }
 
+namespace
+{
+
+/** SRT options with round, exponent-free values everywhere. */
+SimOptions
+driftBase()
+{
+    SimOptions o;
+    o.mode = SimMode::Srt;
+    o.warmup_insts = 1000;
+    return o;
+}
+
+/** @p text with its one occurrence of @p from replaced by @p to. */
+std::string
+edit(std::string text, const std::string &from, const std::string &to)
+{
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from << " not in " << text;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+/** A submit whose job i carries the options object @p options[i]. */
+std::string
+submitWithOptions(const std::vector<std::string> &options)
+{
+    std::string s = "{\"type\":\"submit\",\"name\":\"drift\",\"seed\":\"1\","
+                    "\"timing\":false,\"jobs\":[";
+    for (std::size_t i = 0; i < options.size(); ++i) {
+        s += (i ? "," : "");
+        s += "{\"id\":" + std::to_string(i) +
+             ",\"label\":\"j\",\"seed\":\"3\",\"workloads\":[\"gcc\"],"
+             "\"options\":" + options[i] + ",\"stats\":0}";
+    }
+    return s + "]}";
+}
+
+/** parseSubmit's rejection message, or "" when the submit is accepted. */
+std::string
+rejection(const std::vector<std::string> &options)
+{
+    JsonValue msg;
+    EXPECT_TRUE(parseJson(submitWithOptions(options), msg));
+    bool timing = true;
+    try {
+        parseSubmit(msg, timing);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::string
+driftMessage(std::size_t job, const std::string &got,
+             const std::string &canon)
+{
+    return "serve: job " + std::to_string(job) +
+           " options do not round-trip (client/daemon option-schema "
+           "drift): got " + got + ", canonical " + canon;
+}
+
+} // namespace
+
+TEST(ServeDrift, CanonicalOptionsAreAccepted)
+{
+    const std::string canon = optionsCanonicalJson(driftBase());
+    EXPECT_EQ(rejection({canon, canon, canon}), "");
+}
+
+TEST(ServeDrift, ExtraMemberIsRejected)
+{
+    const std::string canon = optionsCanonicalJson(driftBase());
+    const std::string sent = edit(canon, "}", ",\"turbo\":1}");
+    EXPECT_EQ(rejection({sent}), driftMessage(0, sent, canon));
+}
+
+TEST(ServeDrift, MissingMemberIsRejected)
+{
+    const std::string canon = optionsCanonicalJson(driftBase());
+    EXPECT_EQ(rejection({edit(canon, ",\"lvq_ecc\":1", "")}),
+              "serve: missing numeric member 'lvq_ecc'");
+    EXPECT_EQ(rejection({edit(canon, ",\"frontend\":\"lpq\"", "")}),
+              "serve: missing string member 'frontend'");
+}
+
+TEST(ServeDrift, ReorderedMembersAreRejected)
+{
+    const std::string canon = optionsCanonicalJson(driftBase());
+    const std::string sent =
+        edit(edit(canon, "\"warmup_insts\":1000,", ""), "\"mode\"",
+             "\"warmup_insts\":1000,\"mode\"");
+    EXPECT_EQ(rejection({sent}), driftMessage(0, sent, canon));
+}
+
+TEST(ServeDrift, DuplicateKeyIsRejected)
+{
+    // The parser keeps duplicates and find() returns the first, so
+    // the parsed options are the canonical ones; only the round trip
+    // sees the second "iq".
+    const std::string canon = optionsCanonicalJson(driftBase());
+    const std::string sent = edit(canon, "}", ",\"iq\":64}");
+    EXPECT_EQ(rejection({sent}), driftMessage(0, sent, canon));
+}
+
+TEST(ServeDrift, NegativeZeroIsRejected)
+{
+    const std::string canon = optionsCanonicalJson(driftBase());
+    const std::string sent = edit(canon, "\"slack\":0", "\"slack\":-0");
+    EXPECT_EQ(rejection({sent}), driftMessage(0, sent, canon));
+}
+
+TEST(ServeDrift, ExponentSpellingOfASmallIntegerRoundTrips)
+{
+    // The check re-renders the parsed double, not the sent text, and
+    // %.12g prints 1000.0 as "1000": "1e3" is accepted and parses to
+    // exactly the options "1000" does.
+    const std::string canon = optionsCanonicalJson(driftBase());
+    const std::string sent =
+        edit(canon, "\"warmup_insts\":1000", "\"warmup_insts\":1e3");
+    EXPECT_EQ(rejection({sent}), "");
+    EXPECT_EQ(rejection({canon, sent, canon}), "");
+
+    JsonValue msg;
+    ASSERT_TRUE(parseJson(submitWithOptions({canon, sent}), msg));
+    bool timing = true;
+    const Campaign got = parseSubmit(msg, timing);
+    ASSERT_EQ(got.jobs.size(), 2u);
+    EXPECT_EQ(optionsCanonicalJson(got.jobs[1].options), canon);
+}
+
+TEST(ServeDrift, IntegerAtOrAbove1e12IsRejected)
+{
+    // Canonical text, but the double's %.12g rendering is "1e+12".
+    SimOptions o = driftBase();
+    o.measure_insts = 1000000000000ull;
+    const std::string canon = optionsCanonicalJson(o);
+    const std::string got = edit(canon, "\"measure_insts\":1000000000000",
+                                 "\"measure_insts\":1e+12");
+    EXPECT_EQ(rejection({canon}), driftMessage(0, got, canon));
+
+    o.measure_insts = 999999999999ull;
+    EXPECT_EQ(rejection({optionsCanonicalJson(o)}), "");
+}
+
+TEST(ServeDrift, BooleanWhereANumberBelongsIsRejected)
+{
+    const std::string canon = optionsCanonicalJson(driftBase());
+    EXPECT_EQ(rejection({edit(canon, "\"ptsq\":0", "\"ptsq\":false")}),
+              "serve: missing numeric member 'ptsq'");
+    EXPECT_EQ(rejection({edit(canon, "\"psr\":1", "\"psr\":true")}),
+              "serve: missing numeric member 'psr'");
+}
+
+TEST(ServeDrift, OneDriftingJobRejectsTheWholeSubmit)
+{
+    // Jobs 0-4 send the same valid object; job 5 differs from it only
+    // by the sign of a zero, which compares equal as a double.
+    const std::string canon = optionsCanonicalJson(driftBase());
+    const std::string sent = edit(canon, "\"slack\":0", "\"slack\":-0");
+    EXPECT_EQ(rejection({canon, canon, canon, canon, canon, sent}),
+              driftMessage(5, sent, canon));
+    // And the other way round: a drifting job 0 is not excused by
+    // valid ones after it.
+    EXPECT_EQ(rejection({sent, canon}), driftMessage(0, sent, canon));
+}
+
+TEST(ServeDrift, RepeatedObjectsKeepTheirOwnFieldValues)
+{
+    // Interleaved distinct objects: every job must come back with its
+    // own options, not a neighbour's.
+    std::vector<std::string> sent;
+    std::vector<std::string> expect;
+    for (int i = 0; i < 12; ++i) {
+        SimOptions o = driftBase();
+        o.mode = (i % 3 == 0) ? SimMode::Crt : SimMode::Srt;
+        o.slack_fetch = static_cast<unsigned>(32 * (i % 4));
+        expect.push_back(optionsCanonicalJson(o));
+        sent.push_back(expect.back());
+    }
+    JsonValue msg;
+    ASSERT_TRUE(parseJson(submitWithOptions(sent), msg));
+    bool timing = true;
+    const Campaign got = parseSubmit(msg, timing);
+    ASSERT_EQ(got.jobs.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        EXPECT_EQ(optionsCanonicalJson(got.jobs[i].options), expect[i]);
+}
+
 TEST(ServeFrames, StreamsMultipleFramesThenCleanEof)
 {
     Pair p;
@@ -257,4 +453,117 @@ TEST(ServeFrames, ReadsSurviveSignalStorm)
     EXPECT_EQ(got,
               std::string(1, tagControl) + "{\"type\":\"status\"}");
     sigaction(SIGUSR1, &old, nullptr);
+}
+
+namespace
+{
+
+/** Frame i of a synthetic stream: a tag and a body whose length varies. */
+std::string
+numberedPayload(std::size_t i)
+{
+    return std::string(1, tagRow) + "{\"id\":" + std::to_string(i) +
+           ",\"pad\":\"" + std::string(i % 97, 'x') + "\"}";
+}
+
+} // namespace
+
+TEST(WireDecoder, TenThousandFramesInOneBufferComeOutInOrder)
+{
+    constexpr std::size_t frames = 10000;
+    std::string stream;
+    for (std::size_t i = 0; i < frames; ++i)
+        stream += wire::frame(numberedPayload(i));
+
+    wire::FrameDecoder decoder;
+    decoder.feed(stream.data(), stream.size());
+    std::string p;
+    std::size_t got = 0;
+    while (decoder.next(p)) {
+        ASSERT_EQ(p, numberedPayload(got));
+        ++got;
+    }
+    EXPECT_EQ(got, frames);
+    EXPECT_FALSE(decoder.truncated());
+
+    // The decoder stays usable after draining a large buffer.
+    const std::string more = wire::frame("tail");
+    decoder.feed(more.data(), more.size());
+    ASSERT_TRUE(decoder.next(p));
+    EXPECT_EQ(p, "tail");
+    EXPECT_FALSE(decoder.next(p));
+}
+
+TEST(WireDecoder, OneByteAtATime)
+{
+    std::string stream;
+    for (std::size_t i = 0; i < 50; ++i)
+        stream += wire::frame(numberedPayload(i));
+
+    wire::FrameDecoder decoder;
+    std::string p;
+    std::size_t got = 0;
+    for (std::size_t b = 0; b < stream.size(); ++b) {
+        decoder.feed(stream.data() + b, 1);
+        while (decoder.next(p)) {
+            ASSERT_EQ(p, numberedPayload(got));
+            ++got;
+        }
+    }
+    EXPECT_EQ(got, 50u);
+    EXPECT_FALSE(decoder.truncated());
+}
+
+TEST(WireDecoder, TruncatedMeansAPartialFrameIsHeld)
+{
+    const std::string a = wire::frame("first");
+    const std::string b = wire::frame("second");
+    const std::string stream = a + b;
+
+    wire::FrameDecoder decoder;
+    std::string p;
+    EXPECT_FALSE(decoder.truncated());
+    // A whole frame plus three header bytes of the next.
+    decoder.feed(stream.data(), a.size() + 3);
+    EXPECT_TRUE(decoder.truncated());
+    ASSERT_TRUE(decoder.next(p));
+    EXPECT_EQ(p, "first");
+    EXPECT_TRUE(decoder.truncated());
+    EXPECT_FALSE(decoder.next(p));
+    EXPECT_TRUE(decoder.truncated());
+    decoder.feed(stream.data() + a.size() + 3, b.size() - 3);
+    ASSERT_TRUE(decoder.next(p));
+    EXPECT_EQ(p, "second");
+    EXPECT_FALSE(decoder.truncated());
+    EXPECT_FALSE(decoder.next(p));
+    EXPECT_FALSE(decoder.truncated());
+}
+
+TEST(WireDecoder, GarbageAfterGoodFramesThrows)
+{
+    std::string stream = wire::frame("ok") + wire::frame("ok too");
+    stream += "JUNKJUNKJUNK";
+    wire::FrameDecoder decoder;
+    decoder.feed(stream.data(), stream.size());
+    std::string p;
+    ASSERT_TRUE(decoder.next(p));
+    ASSERT_TRUE(decoder.next(p));
+    EXPECT_EQ(p, "ok too");
+    EXPECT_THROW(decoder.next(p), wire::WireError);
+}
+
+TEST(WireDecoder, OversizedLengthAfterGoodFramesThrows)
+{
+    std::string stream = wire::frame("ok");
+    for (int i = 0; i < 4; ++i)
+        stream.push_back(static_cast<char>(wire::frameMagic >> (8 * i)));
+    const std::uint32_t huge = wire::maxPayloadBytes + 1;
+    for (int i = 0; i < 4; ++i)
+        stream.push_back(static_cast<char>(huge >> (8 * i)));
+    wire::FrameDecoder decoder;
+    decoder.feed(stream.data(), stream.size());
+    std::string p;
+    ASSERT_TRUE(decoder.next(p));
+    EXPECT_EQ(p, "ok");
+    EXPECT_THROW(decoder.next(p), wire::WireError);
 }
