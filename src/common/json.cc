@@ -7,11 +7,12 @@
 namespace rmt
 {
 
-std::string
-jsonEscape(const std::string &s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size());
+
+void
+appendEscaped(std::string &out, const std::string &s)
+{
     for (const char c : s) {
         switch (c) {
           case '"':  out += "\\\""; break;
@@ -29,7 +30,25 @@ jsonEscape(const std::string &s)
             }
         }
     }
+}
+
+} // namespace
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
     return out;
+}
+
+void
+appendJsonString(std::string &out, const std::string &s)
+{
+    out += '"';
+    appendEscaped(out, s);
+    out += '"';
 }
 
 std::string

@@ -15,6 +15,7 @@
 #ifndef RMTSIM_COMMON_JSON_HH
 #define RMTSIM_COMMON_JSON_HH
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -25,6 +26,19 @@ namespace rmt
 
 /** Escape @p s for inclusion in a JSON string literal. */
 std::string jsonEscape(const std::string &s);
+
+/** Append @p s to @p out as a quoted JSON string literal. */
+void appendJsonString(std::string &out, const std::string &s);
+
+/** Append @p v in decimal to @p out: the integer writer next to
+ *  jsonNum, and the same digits an ostream would print. */
+inline void
+appendUint(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
+}
 
 /** Format a double with enough digits to round-trip, trimming the
  *  noise printf's fixed precision leaves behind ("1.75" not

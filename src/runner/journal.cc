@@ -78,6 +78,21 @@ journalHeader(std::uint64_t fingerprint)
 
 } // namespace
 
+void
+fnv1a64FaultField(std::uint64_t &h, const FaultRecord &f)
+{
+    std::string text = faultKindName(f.kind);
+    for (const std::uint64_t v :
+         {std::uint64_t{f.when}, std::uint64_t{f.core},
+          std::uint64_t{f.tid}, std::uint64_t{f.reg},
+          std::uint64_t{f.bit}, std::uint64_t{f.fuIndex}, f.mask,
+          std::uint64_t{f.pairLogical}}) {
+        text += ',';
+        appendUint(text, v);
+    }
+    fnv1a64Field(h, text);
+}
+
 std::uint64_t
 campaignFingerprintU64(const std::vector<JobSpec> &jobs)
 {
@@ -89,14 +104,8 @@ campaignFingerprintU64(const std::vector<JobSpec> &jobs)
         for (const std::string &w : job.workloads)
             fnv1a64Field(h, w);
         fnv1a64Field(h, optionsCanonicalJson(job.options));
-        for (const FaultRecord &f : job.faults) {
-            std::ostringstream os;
-            os << faultKindName(f.kind) << ',' << f.when << ','
-               << unsigned(f.core) << ',' << unsigned(f.tid) << ','
-               << unsigned(f.reg) << ',' << f.bit << ',' << f.fuIndex
-               << ',' << f.mask << ',' << unsigned(f.pairLogical);
-            fnv1a64Field(h, os.str());
-        }
+        for (const FaultRecord &f : job.faults)
+            fnv1a64FaultField(h, f);
     }
     return h;
 }

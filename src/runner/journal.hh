@@ -72,6 +72,14 @@ constexpr std::uint32_t journalVersion = 1;
  */
 std::uint64_t campaignFingerprintU64(const std::vector<JobSpec> &jobs);
 
+/**
+ * Fold one scheduled fault into a fingerprint as the field
+ * `kind,when,core,tid,reg,bit,fu,mask,pair` (decimal).  Shared by the
+ * campaign fingerprint and the result store's content key, whose
+ * on-disk values depend on these exact bytes.
+ */
+void fnv1a64FaultField(std::uint64_t &h, const FaultRecord &f);
+
 /** Everything replay recovered from a journal. */
 struct JournalReplay
 {

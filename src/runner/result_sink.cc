@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -18,32 +17,30 @@ namespace rmt
 namespace
 {
 
-// jsonEscape comes from common/json.hh, as does the round-trip
-// double format used everywhere in this file.
-std::string
-num(double v)
-{
-    return jsonNum(v);
-}
-
 /**
- * Remove the wall-clock "host" member from an embedded stats blob.
- * The blob is built inside the run, where the sink's include_timing
- * choice is unknown; suppressing it here keeps --no-timing output
- * byte-identical across runs and across -j levels.  The member is a
- * flat object, so scanning to the next '}' is sufficient.
+ * Append an embedded stats blob, without its wall-clock "host" member
+ * unless @p include_timing.  The blob is built inside the run, where
+ * the sink's include_timing choice is unknown; dropping the member
+ * here keeps --no-timing output byte-identical across runs and across
+ * -j levels.  The member is a flat object, so scanning to the next '}'
+ * is sufficient.
  */
-std::string
-stripHostMember(std::string stats)
+void
+appendStats(std::string &out, const std::string &stats,
+            bool include_timing)
 {
-    const auto pos = stats.find(",\"host\":{");
-    if (pos == std::string::npos)
-        return stats;
-    const auto end = stats.find('}', pos);
-    if (end == std::string::npos)
-        return stats;
-    stats.erase(pos, end - pos + 1);
-    return stats;
+    if (!include_timing) {
+        const auto pos = stats.find(",\"host\":{");
+        const auto end = pos == std::string::npos
+                             ? std::string::npos
+                             : stats.find('}', pos);
+        if (end != std::string::npos) {
+            out.append(stats, 0, pos);
+            out.append(stats, end + 1);
+            return;
+        }
+    }
+    out += stats;
 }
 
 } // namespace
@@ -62,118 +59,164 @@ optionsFingerprint(const SimOptions &o)
     return fingerprintHex(optionsFingerprintU64(o));
 }
 
-std::string
-resultJson(const JobSpec &spec, const JobResult &r, bool include_timing)
+void
+appendResultJson(std::string &out, const JobSpec &spec,
+                 const JobResult &r, bool include_timing)
 {
-    std::ostringstream os;
-    os << "{\"id\":" << spec.id
-       << ",\"label\":\"" << jsonEscape(spec.label) << "\""
-       << ",\"seed\":" << spec.seed
-       << ",\"workloads\":[";
+    out += "{\"id\":";
+    appendUint(out, spec.id);
+    out += ",\"label\":";
+    appendJsonString(out, spec.label);
+    out += ",\"seed\":";
+    appendUint(out, spec.seed);
+    out += ",\"workloads\":[";
     for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
         if (i)
-            os << ",";
-        os << "\"" << jsonEscape(spec.workloads[i]) << "\"";
+            out += ',';
+        appendJsonString(out, spec.workloads[i]);
     }
-    // Serialize the options once; the fingerprint hashes the same
-    // canonical string.
-    const std::string canon = optionsJson(spec.options);
-    os << "]"
-       << ",\"options\":" << canon
-       << ",\"fingerprint\":\"" << optionsFingerprint(spec.options) << "\""
-       << ",\"status\":\"" << (r.ok() ? "ok" : "failed") << "\""
-       << ",\"attempts\":" << r.attempts;
+    // Render the options once, in place; the fingerprint hashes those
+    // same bytes.
+    out += "],\"options\":";
+    const std::size_t canon_at = out.size();
+    appendOptionsCanonicalJson(out, spec.options);
+    const std::uint64_t fp =
+        fnv1a64(out.data() + canon_at, out.size() - canon_at);
+    out += ",\"fingerprint\":\"";
+    out += fingerprintHex(fp);
+    out += "\",\"status\":\"";
+    out += r.ok() ? "ok" : "failed";
+    out += "\",\"attempts\":";
+    appendUint(out, r.attempts);
     if (!spec.faults.empty()) {
-        os << ",\"faults\":[";
+        out += ",\"faults\":[";
         for (std::size_t i = 0; i < spec.faults.size(); ++i) {
             const FaultRecord &f = spec.faults[i];
             if (i)
-                os << ",";
-            os << "{\"kind\":\"" << faultKindName(f.kind) << "\""
-               << ",\"when\":" << f.when
-               << ",\"core\":" << unsigned(f.core)
-               << ",\"tid\":" << unsigned(f.tid)
-               << ",\"reg\":" << unsigned(f.reg)
-               << ",\"bit\":" << f.bit
-               << ",\"fu\":" << f.fuIndex
-               << ",\"pair\":" << unsigned(f.pairLogical) << "}";
+                out += ',';
+            out += "{\"kind\":\"";
+            out += faultKindName(f.kind);
+            out += "\",\"when\":";
+            appendUint(out, f.when);
+            out += ",\"core\":";
+            appendUint(out, f.core);
+            out += ",\"tid\":";
+            appendUint(out, f.tid);
+            out += ",\"reg\":";
+            appendUint(out, f.reg);
+            out += ",\"bit\":";
+            appendUint(out, f.bit);
+            out += ",\"fu\":";
+            appendUint(out, f.fuIndex);
+            out += ",\"pair\":";
+            appendUint(out, f.pairLogical);
+            out += '}';
         }
-        os << "]";
+        out += ']';
     }
     if (!r.ok()) {
-        os << ",\"error\":\"" << jsonEscape(r.error) << "\""
-           << ",\"timed_out\":" << (r.timed_out ? "true" : "false");
+        out += ",\"error\":";
+        appendJsonString(out, r.error);
+        out += ",\"timed_out\":";
+        out += r.timed_out ? "true" : "false";
         // Only when set: healthy campaigns (and the forked-vs-scratch
         // byte-diff gate) never see the key.
         if (r.quarantined)
-            os << ",\"quarantined\":true";
+            out += ",\"quarantined\":true";
     }
     if (include_timing) {
-        os << ",\"wall_ms\":" << num(r.wall_seconds * 1e3);
-        if (r.ok())
-            os << ",\"host\":" << r.run.host.json();
+        out += ",\"wall_ms\":";
+        out += jsonNum(r.wall_seconds * 1e3);
+        if (r.ok()) {
+            out += ",\"host\":";
+            out += r.run.host.json();
+        }
     }
     if (r.ok()) {
         const RunResult &run = r.run;
-        os << ",\"completed\":" << (run.completed ? "true" : "false")
-           << ",\"outcome\":\"" << outcomeName(run.outcome) << "\""
-           << ",\"total_cycles\":" << run.total_cycles
-           << ",\"threads\":[";
+        out += ",\"completed\":";
+        out += run.completed ? "true" : "false";
+        out += ",\"outcome\":\"";
+        out += outcomeName(run.outcome);
+        out += "\",\"total_cycles\":";
+        appendUint(out, run.total_cycles);
+        out += ",\"threads\":[";
         for (std::size_t i = 0; i < run.threads.size(); ++i) {
             const ThreadResult &t = run.threads[i];
             if (i)
-                os << ",";
-            os << "{\"workload\":\"" << jsonEscape(t.workload) << "\""
-               << ",\"ipc\":" << num(t.ipc)
-               << ",\"committed\":" << t.committed
-               << ",\"cycles\":" << t.cycles << "}";
+                out += ',';
+            out += "{\"workload\":";
+            appendJsonString(out, t.workload);
+            out += ",\"ipc\":";
+            out += jsonNum(t.ipc);
+            out += ",\"committed\":";
+            appendUint(out, t.committed);
+            out += ",\"cycles\":";
+            appendUint(out, t.cycles);
+            out += '}';
         }
-        os << "]"
-           << ",\"detections\":" << run.detections
-           << ",\"recoveries\":" << run.recoveries
-           << ",\"store_comparisons\":" << run.store_comparisons
-           << ",\"store_mismatches\":" << run.store_mismatches
-           << ",\"fu_pairs\":" << run.fu_pairs
-           << ",\"fu_same_unit\":" << run.fu_same_unit
-           << ",\"sq_full_stalls\":" << run.sq_full_stalls
-           << ",\"lvq_full_stalls\":" << run.lvq_full_stalls
-           << ",\"branch_mispredicts\":" << run.branch_mispredicts
-           << ",\"line_mispredicts\":" << run.line_mispredicts;
+        const std::pair<const char *, std::uint64_t> counters[] = {
+            {"],\"detections\":", run.detections},
+            {",\"recoveries\":", run.recoveries},
+            {",\"store_comparisons\":", run.store_comparisons},
+            {",\"store_mismatches\":", run.store_mismatches},
+            {",\"fu_pairs\":", run.fu_pairs},
+            {",\"fu_same_unit\":", run.fu_same_unit},
+            {",\"sq_full_stalls\":", run.sq_full_stalls},
+            {",\"lvq_full_stalls\":", run.lvq_full_stalls},
+            {",\"branch_mispredicts\":", run.branch_mispredicts},
+            {",\"line_mispredicts\":", run.line_mispredicts},
+        };
+        for (const auto &[key, value] : counters) {
+            out += key;
+            appendUint(out, value);
+        }
         if (r.has_verdict) {
-            os << ",\"verdict\":\"" << verdictName(r.verdict) << "\"";
+            out += ",\"verdict\":\"";
+            out += verdictName(r.verdict);
+            out += '"';
             if (r.detection_latency >= 0) {
-                os << ",\"detection_latency\":"
-                   << num(r.detection_latency);
+                out += ",\"detection_latency\":";
+                out += jsonNum(r.detection_latency);
             }
         }
         if (r.mean_efficiency >= 0) {
-            os << ",\"mean_efficiency\":" << num(r.mean_efficiency)
-               << ",\"efficiencies\":[";
+            out += ",\"mean_efficiency\":";
+            out += jsonNum(r.mean_efficiency);
+            out += ",\"efficiencies\":[";
             for (std::size_t i = 0; i < r.efficiencies.size(); ++i) {
                 if (i)
-                    os << ",";
-                os << num(r.efficiencies[i]);
+                    out += ',';
+                out += jsonNum(r.efficiencies[i]);
             }
-            os << "]";
+            out += ']';
         }
         if (!run.stats_json.empty()) {
-            os << ",\"stats\":"
-               << (include_timing ? run.stats_json
-                                  : stripHostMember(run.stats_json));
+            out += ",\"stats\":";
+            appendStats(out, run.stats_json, include_timing);
         }
     }
     if (!r.extra.empty()) {
-        os << ",\"extra\":{";
+        out += ",\"extra\":{";
         for (std::size_t i = 0; i < r.extra.size(); ++i) {
             if (i)
-                os << ",";
-            os << "\"" << jsonEscape(r.extra[i].first)
-               << "\":" << num(r.extra[i].second);
+                out += ',';
+            appendJsonString(out, r.extra[i].first);
+            out += ':';
+            out += jsonNum(r.extra[i].second);
         }
-        os << "}";
+        out += '}';
     }
-    os << "}";
-    return os.str();
+    out += '}';
+}
+
+std::string
+resultJson(const JobSpec &spec, const JobResult &r, bool include_timing)
+{
+    std::string out;
+    out.reserve(1024 + r.run.stats_json.size());
+    appendResultJson(out, spec, r, include_timing);
+    return out;
 }
 
 JsonlSink::JsonlSink(std::ostream &out, Options options)

@@ -46,6 +46,11 @@ std::string optionsJson(const SimOptions &options);
 std::string resultJson(const JobSpec &spec, const JobResult &result,
                        bool include_timing);
 
+/** Append resultJson(@p spec, @p result, @p include_timing) to @p out:
+ *  the daemon frames rows straight into its send buffer this way. */
+void appendResultJson(std::string &out, const JobSpec &spec,
+                      const JobResult &result, bool include_timing);
+
 class ResultSink
 {
   public:

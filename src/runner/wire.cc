@@ -60,7 +60,7 @@ putStr(std::string &out, const std::string &s)
 class Reader
 {
   public:
-    explicit Reader(const std::string &buf) : buf(buf) {}
+    explicit Reader(std::string_view buf) : buf(buf) {}
 
     std::uint8_t u8()
     {
@@ -100,7 +100,7 @@ class Reader
     {
         const std::uint32_t len = u32();
         need(len);
-        std::string s = buf.substr(pos, len);
+        std::string s(buf.substr(pos, len));
         pos += len;
         return s;
     }
@@ -114,7 +114,7 @@ class Reader
             throw WireError("wire: payload truncated inside a field");
     }
 
-    const std::string &buf;
+    std::string_view buf;
     std::size_t pos = 0;
 };
 
@@ -182,7 +182,7 @@ encodeJobResult(const JobResult &r)
 }
 
 JobResult
-decodeJobResult(const std::string &payload)
+decodeJobResult(std::string_view payload)
 {
     Reader in(payload);
 
@@ -255,35 +255,62 @@ decodeJobResult(const std::string &payload)
 std::string
 frame(const std::string &payload)
 {
-    if (payload.size() > maxPayloadBytes)
-        throw WireError("wire: payload exceeds the frame cap");
     std::string out;
     out.reserve(8 + payload.size());
-    putU32(out, frameMagic);
-    putU32(out, static_cast<std::uint32_t>(payload.size()));
+    const std::size_t at = beginFrame(out);
     out.append(payload);
+    endFrame(out, at);
     return out;
+}
+
+std::size_t
+beginFrame(std::string &out)
+{
+    const std::size_t at = out.size();
+    out.append(8, '\0');
+    return at;
+}
+
+void
+endFrame(std::string &out, std::size_t at)
+{
+    const std::size_t len = out.size() - at - 8;
+    if (len > maxPayloadBytes)
+        throw WireError("wire: payload exceeds the frame cap");
+    for (int i = 0; i < 4; ++i) {
+        out[at + i] = static_cast<char>((frameMagic >> (8 * i)) & 0xff);
+        out[at + 4 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    }
 }
 
 bool
 FrameDecoder::next(std::string &payload)
 {
-    if (buf.size() < 8)
-        return false;
-    Reader in(buf);
-    const std::uint32_t magic = in.u32();
-    if (magic != frameMagic)
-        throw WireError("wire: bad frame magic (child wrote garbage "
-                        "before the record?)");
-    const std::uint32_t len = in.u32();
-    if (len > maxPayloadBytes)
-        throw WireError("wire: frame length " + std::to_string(len) +
-                        " exceeds the payload cap");
-    if (buf.size() < 8 + std::size_t{len})
-        return false;
-    payload = buf.substr(8, len);
-    buf.erase(0, 8 + std::size_t{len});
-    return true;
+    const std::size_t avail = buf.size() - pos;
+    if (avail >= 8) {
+        const auto le32 = [this](std::size_t at) {
+            std::uint32_t v = 0;
+            for (int i = 0; i < 4; ++i)
+                v |= std::uint32_t(std::uint8_t(buf[at + i])) << (8 * i);
+            return v;
+        };
+        if (le32(pos) != frameMagic)
+            throw WireError("wire: bad frame magic (child wrote garbage "
+                            "before the record?)");
+        const std::uint32_t len = le32(pos + 4);
+        if (len > maxPayloadBytes)
+            throw WireError("wire: frame length " + std::to_string(len) +
+                            " exceeds the payload cap");
+        if (avail - 8 >= len) {
+            payload.assign(buf, pos + 8, len);
+            pos += 8 + std::size_t{len};
+            return true;
+        }
+    }
+    // Out of complete frames: drop everything consumed, once.
+    buf.erase(0, pos);
+    pos = 0;
+    return false;
 }
 
 #if defined(__unix__) || defined(__APPLE__)

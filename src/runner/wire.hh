@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "runner/job.hh"
 
@@ -54,10 +55,20 @@ constexpr std::uint8_t codecVersion = 2;
 std::string encodeJobResult(const JobResult &result);
 
 /** Inverse of encodeJobResult; throws WireError on malformed input. */
-JobResult decodeJobResult(const std::string &payload);
+JobResult decodeJobResult(std::string_view payload);
 
 /** Wrap a payload in a frame: magic + u32 length + bytes. */
 std::string frame(const std::string &payload);
+
+/**
+ * Build a frame in place at the end of @p out: beginFrame() reserves
+ * the header and returns where the frame starts, the caller appends
+ * the payload, and endFrame() fills in the magic and the length.
+ * Throws WireError if the payload exceeds the cap.  Batched senders
+ * frame many records into one buffer this way without a copy each.
+ */
+std::size_t beginFrame(std::string &out);
+void endFrame(std::string &out, std::size_t at);
 
 /**
  * Incremental frame parser for the parent's read loop.  feed() bytes
@@ -65,6 +76,10 @@ std::string frame(const std::string &payload);
  * as soon as the stream is provably corrupt (wrong magic, payload
  * above the cap).  After EOF, truncated() tells a cleanly-closed
  * stream from one cut mid-frame.
+ *
+ * Consumed frames are skipped with an offset and the buffer is
+ * compacted only when next() runs out of complete frames, so draining
+ * a large read costs time linear in its bytes.
  */
 class FrameDecoder
 {
@@ -78,10 +93,11 @@ class FrameDecoder
     bool next(std::string &payload);
 
     /** Bytes of an incomplete frame still buffered? */
-    bool truncated() const { return !buf.empty(); }
+    bool truncated() const { return buf.size() > pos; }
 
   private:
     std::string buf;
+    std::size_t pos = 0;    ///< start of the first unconsumed frame
 };
 
 #if defined(__unix__) || defined(__APPLE__)

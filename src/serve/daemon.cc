@@ -153,10 +153,10 @@ Daemon::serveClient(int fd)
                 sendError(fd, "expected a control frame");
                 break;
             }
-            const std::string body = payload.substr(1);
+            payload.erase(0, 1);    // the tag
             JsonValue msg;
             std::string perr;
-            if (!parseJson(body, msg, perr)) {
+            if (!parseJson(payload, msg, perr)) {
                 sendError(fd, "bad control JSON: " + perr);
                 break;
             }
@@ -165,7 +165,7 @@ Daemon::serveClient(int fd)
                 handleSubmit(fd, msg);
             } else if (type == "status" || type == "flush" ||
                        type == "stop" || type == "cancel") {
-                handleControl(fd, body);
+                handleControl(fd, msg);
             } else {
                 sendError(fd, "unknown control type '" + type + "'");
                 break;
@@ -180,10 +180,8 @@ Daemon::serveClient(int fd)
 }
 
 void
-Daemon::handleControl(int fd, const std::string &body)
+Daemon::handleControl(int fd, const JsonValue &msg)
 {
-    JsonValue msg;
-    parseJson(body, msg);
     const std::string type = msg.strOr("type", "");
     if (type == "status") {
         sendControl(fd, statusJson());
@@ -422,8 +420,33 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
         // fills later slots out of order.  A dead peer flips the
         // cancel flag (unstarted owned jobs abandon themselves) but we
         // still wait out the in-flight ones below.
+        //
+        // Rows are framed straight into one batch, which is written
+        // when it reaches ioChunkBytes, before blocking on a slot that
+        // is still pending, and before the done frame: an all-hit
+        // campaign costs one write per batch, and a row never waits
+        // in the buffer behind a simulation.
+        std::string batch;
+        std::uint64_t batched = 0;
+        const auto writeBatch = [&] {
+            if (batch.empty())
+                return;
+            if (wire::writeAll(fd, batch.data(), batch.size())) {
+                rows += batched;
+            } else {
+                peer_gone = true;
+                reg->cancel.store(true);
+            }
+            batch.clear();
+            batched = 0;
+        };
         for (std::size_t i = 0; i < n; ++i) {
             std::unique_lock<std::mutex> lock(slot_mu);
+            if (slots[i].state == Slot::State::Pending && !batch.empty()) {
+                lock.unlock();
+                writeBatch();
+                lock.lock();
+            }
             slot_cv.wait(lock, [&] {
                 return slots[i].state != Slot::State::Pending;
             });
@@ -434,16 +457,16 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
                 ++failed;
             if (peer_gone || reg->cancel.load())
                 continue;
-            const std::string line = resultJson(
-                campaign.jobs[i], r, include_timing);
             lock.unlock();
-            if (!sendFrame(fd, tagRow, line)) {
-                peer_gone = true;
-                reg->cancel.store(true);
-            } else {
-                ++rows;
-            }
+            const std::size_t at = wire::beginFrame(batch);
+            batch += tagRow;
+            appendResultJson(batch, campaign.jobs[i], r, include_timing);
+            wire::endFrame(batch, at);
+            ++batched;
+            if (batch.size() >= ioChunkBytes)
+                writeBatch();
         }
+        writeBatch();
 
         // All owned pool tasks reference this stack frame (campaign,
         // slots, keys); do not leave before every one has retired.

@@ -19,7 +19,10 @@
  *  - rows are emitted strictly in job order while the pool completes
  *    jobs out of order ahead of the cursor — the stream a client sees
  *    is byte-identical to a local `rmtsim_batch --jsonl` run of the
- *    same campaign (modulo timing fields, which the client may disable);
+ *    same campaign (modulo timing fields, which the client may disable).
+ *    Rows are framed into one batch per connection and written when it
+ *    reaches ioChunkBytes, before the cursor blocks on a job still
+ *    running, and before the done frame;
  *  - a client hangup mid-stream cancels its campaign: unstarted jobs
  *    are abandoned (waiters re-claim them), finished ones are already
  *    in the store, so a resubmission resumes from row 0 at store speed.
@@ -103,7 +106,7 @@ class Daemon
 
     void serveClient(int fd);
     void handleSubmit(int fd, const JsonValue &msg);
-    void handleControl(int fd, const std::string &body);
+    void handleControl(int fd, const JsonValue &msg);
     std::string statusJson();
     void cancelCampaigns(const std::string &fp_hex);
     /** Join the connection threads that have returned. */

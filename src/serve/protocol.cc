@@ -1,15 +1,17 @@
 #include "serve/protocol.hh"
 
-#include <sstream>
+#include <cstring>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 #include "avf/stratum.hh"
+#include "common/fingerprint.hh"
 #include "rmt/fault_injector.hh"
 #include "sim/simulator.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
-#include <cstring>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -20,62 +22,102 @@ namespace rmt
 namespace serve
 {
 
-std::string
-jobJson(const JobSpec &spec)
+namespace
 {
-    std::ostringstream os;
+
+/** Append @p v as a JSON string of decimal digits. */
+void
+appendQuotedUint(std::string &out, std::uint64_t v)
+{
+    out += '"';
+    appendUint(out, v);
+    out += '"';
+}
+
+void
+appendJobJson(std::string &out, const JobSpec &spec)
+{
     // 64-bit fields that can exceed 2^53 (per-trial seeds are full
     // 64-bit hashes) travel as strings: a JSON number goes through a
     // double on the far side and would silently round.
-    os << "{\"id\":" << spec.id
-       << ",\"label\":\"" << jsonEscape(spec.label) << "\""
-       << ",\"seed\":\"" << spec.seed << "\""
-       << ",\"workloads\":[";
+    out += "{\"id\":";
+    appendUint(out, spec.id);
+    out += ",\"label\":";
+    appendJsonString(out, spec.label);
+    out += ",\"seed\":";
+    appendQuotedUint(out, spec.seed);
+    out += ",\"workloads\":[";
     for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
         if (i)
-            os << ",";
-        os << "\"" << jsonEscape(spec.workloads[i]) << "\"";
+            out += ',';
+        appendJsonString(out, spec.workloads[i]);
     }
-    os << "],\"options\":" << optionsCanonicalJson(spec.options)
-       << ",\"stats\":" << (spec.options.collect_stats_json ? 1 : 0);
+    out += "],\"options\":";
+    appendOptionsCanonicalJson(out, spec.options);
+    out += ",\"stats\":";
+    out += spec.options.collect_stats_json ? '1' : '0';
     if (!spec.faults.empty()) {
-        os << ",\"faults\":[";
+        out += ",\"faults\":[";
         for (std::size_t i = 0; i < spec.faults.size(); ++i) {
             const FaultRecord &f = spec.faults[i];
             if (i)
-                os << ",";
-            os << "{\"kind\":\"" << faultKindName(f.kind) << "\""
-               << ",\"when\":\"" << f.when << "\""
-               << ",\"core\":" << unsigned(f.core)
-               << ",\"tid\":" << unsigned(f.tid)
-               << ",\"reg\":" << unsigned(f.reg)
-               << ",\"bit\":" << f.bit
-               << ",\"fu\":" << f.fuIndex
-               << ",\"mask\":\"" << f.mask << "\""
-               << ",\"pair\":" << unsigned(f.pairLogical) << "}";
+                out += ',';
+            out += "{\"kind\":\"";
+            out += faultKindName(f.kind);
+            out += "\",\"when\":";
+            appendQuotedUint(out, f.when);
+            out += ",\"core\":";
+            appendUint(out, f.core);
+            out += ",\"tid\":";
+            appendUint(out, f.tid);
+            out += ",\"reg\":";
+            appendUint(out, f.reg);
+            out += ",\"bit\":";
+            appendUint(out, f.bit);
+            out += ",\"fu\":";
+            appendUint(out, f.fuIndex);
+            out += ",\"mask\":";
+            appendQuotedUint(out, f.mask);
+            out += ",\"pair\":";
+            appendUint(out, f.pairLogical);
+            out += '}';
         }
-        os << "]";
+        out += ']';
     }
-    os << "}";
-    return os.str();
+    out += '}';
+}
+
+} // namespace
+
+std::string
+jobJson(const JobSpec &spec)
+{
+    std::string out;
+    out.reserve(canonicalOptionsReserve + 128);
+    appendJobJson(out, spec);
+    return out;
 }
 
 std::string
 submitJson(const Campaign &campaign, bool include_timing)
 {
-    std::ostringstream os;
-    os << "{\"type\":\"submit\""
-       << ",\"name\":\"" << jsonEscape(campaign.name) << "\""
-       << ",\"seed\":\"" << campaign.seed << "\""
-       << ",\"timing\":" << (include_timing ? "true" : "false")
-       << ",\"jobs\":[";
+    std::string out;
+    out.reserve(128 + campaign.jobs.size() *
+                          (canonicalOptionsReserve + 128));
+    out += "{\"type\":\"submit\",\"name\":";
+    appendJsonString(out, campaign.name);
+    out += ",\"seed\":";
+    appendQuotedUint(out, campaign.seed);
+    out += ",\"timing\":";
+    out += include_timing ? "true" : "false";
+    out += ",\"jobs\":[";
     for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
         if (i)
-            os << ",";
-        os << jobJson(campaign.jobs[i]);
+            out += ',';
+        appendJobJson(out, campaign.jobs[i]);
     }
-    os << "]}";
-    return os.str();
+    out += "]}";
+    return out;
 }
 
 namespace
@@ -165,6 +207,130 @@ parseCanonicalOptions(const JsonValue &obj)
     return o;
 }
 
+namespace
+{
+
+/** FNV-1a-64 over an options object's members as parsed: each key,
+ *  each value's kind, and its string bytes or its number's bits. */
+std::uint64_t
+membersHash(const JsonValue &obj)
+{
+    std::uint64_t h = fnv1a64Seed;
+    for (const auto &[key, value] : obj.members()) {
+        fnv1a64Field(h, key);
+        const auto kind = static_cast<std::uint8_t>(value.kind());
+        h = fnv1a64(&kind, 1, h);
+        if (value.isString()) {
+            fnv1a64Field(h, value.str());
+        } else {
+            const double v = value.number();
+            h = fnv1a64(&v, sizeof(v), h);
+        }
+    }
+    return h;
+}
+
+/** Same keys in the same order, same kinds, same strings, and numbers
+ *  equal bit for bit (so -0 never matches 0).  Any other kind of
+ *  member compares unequal: an object holding one never passed the
+ *  round-trip check, so it can never be in the memo anyway. */
+bool
+sameMembers(const JsonValue &a, const JsonValue &b)
+{
+    const auto &ma = a.members();
+    const auto &mb = b.members();
+    if (ma.size() != mb.size())
+        return false;
+    for (std::size_t i = 0; i < ma.size(); ++i) {
+        const JsonValue &va = ma[i].second;
+        const JsonValue &vb = mb[i].second;
+        if (ma[i].first != mb[i].first || va.kind() != vb.kind())
+            return false;
+        if (va.isString()) {
+            if (va.str() != vb.str())
+                return false;
+        } else if (va.isNumber()) {
+            const double x = va.number();
+            const double y = vb.number();
+            if (std::memcmp(&x, &y, sizeof(x)) != 0)
+                return false;
+        } else {
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * The options objects one parseSubmit call has already verified.  A
+ * sweep repeats a handful of objects across hundreds of jobs; an
+ * object equal member for member to a verified one reuses its parsed
+ * SimOptions, and every other object gets the full round-trip check.
+ */
+class CheckedOptions
+{
+  public:
+    SimOptions
+    parse(std::uint64_t job_id, const JsonValue &opts)
+    {
+        // Only objects that passed the check below enter the memo, so
+        // a non-object (no members) can never match one.
+        const std::uint64_t h = membersHash(opts);
+        const auto it = seen.find(h);
+        if (it != seen.end() && sameMembers(*it->second.first, opts))
+            return it->second.second;
+
+        SimOptions parsed = parseCanonicalOptions(opts);
+        verifyRoundTrip(job_id, opts, parsed);
+        // On a hash collision the first object keeps the slot.
+        seen.emplace(h, std::make_pair(&opts, parsed));
+        return parsed;
+    }
+
+  private:
+    /**
+     * Re-canonicalising the parsed options must reproduce the sent
+     * pre-image byte-for-byte.  A mismatch means this daemon would
+     * simulate something other than what the client asked for —
+     * reject loudly.
+     */
+    static void
+    verifyRoundTrip(std::uint64_t job_id, const JsonValue &opts,
+                    const SimOptions &parsed)
+    {
+        const std::string canon = optionsCanonicalJson(parsed);
+        std::string sent;
+        sent.reserve(canon.size());
+        sent += '{';
+        bool first = true;
+        for (const auto &[key, value] : opts.members()) {
+            if (!first)
+                sent += ',';
+            first = false;
+            sent += '"';
+            sent += key;
+            sent += "\":";
+            if (value.isString())
+                appendJsonString(sent, value.str());
+            else
+                sent += jsonNum(value.number());
+        }
+        sent += '}';
+        if (sent != canon)
+            throw std::invalid_argument(
+                "serve: job " + std::to_string(job_id) +
+                " options do not round-trip (client/daemon "
+                "option-schema drift): got " + sent +
+                ", canonical " + canon);
+    }
+
+    std::unordered_map<std::uint64_t,
+                       std::pair<const JsonValue *, SimOptions>>
+        seen;
+};
+
+} // namespace
+
 Campaign
 parseSubmit(const JsonValue &msg, bool &include_timing)
 {
@@ -178,6 +344,7 @@ parseSubmit(const JsonValue &msg, bool &include_timing)
     if (!jobs || !jobs->isArray())
         throw std::invalid_argument("serve: submit has no jobs array");
 
+    CheckedOptions checked;
     for (const JsonValue &j : jobs->array()) {
         JobSpec spec;
         spec.id = u64Member(j, "id");
@@ -199,38 +366,9 @@ parseSubmit(const JsonValue &msg, bool &include_timing)
             throw std::invalid_argument("serve: job " +
                                         std::to_string(spec.id) +
                                         " has no options");
-        spec.options = parseCanonicalOptions(*opts);
+        spec.options = checked.parse(spec.id, *opts);
         spec.options.collect_stats_json =
             j.numberOr("stats", 0) != 0;
-
-        // Round-trip check: re-canonicalising the parsed options must
-        // reproduce the sent pre-image byte-for-byte.  A mismatch
-        // means this daemon would simulate something other than what
-        // the client asked for — reject loudly.
-        {
-            std::ostringstream sent;
-            bool first = true;
-            sent << "{";
-            for (const auto &[key, value] : opts->members()) {
-                if (!first)
-                    sent << ",";
-                first = false;
-                sent << "\"" << key << "\":";
-                if (value.isString())
-                    sent << "\"" << jsonEscape(value.str()) << "\"";
-                else
-                    sent << jsonNum(value.number());
-            }
-            sent << "}";
-            const std::string canon =
-                optionsCanonicalJson(spec.options);
-            if (sent.str() != canon)
-                throw std::invalid_argument(
-                    "serve: job " + std::to_string(spec.id) +
-                    " options do not round-trip (client/daemon "
-                    "option-schema drift): got " + sent.str() +
-                    ", canonical " + canon);
-        }
 
         if (const JsonValue *faults = j.find("faults")) {
             if (!faults->isArray())
@@ -261,11 +399,12 @@ parseSubmit(const JsonValue &msg, bool &include_timing)
 bool
 sendFrame(int fd, char tag, const std::string &body)
 {
-    std::string payload;
-    payload.reserve(1 + body.size());
-    payload.push_back(tag);
-    payload += body;
-    const std::string framed = wire::frame(payload);
+    std::string framed;
+    framed.reserve(9 + body.size());
+    const std::size_t at = wire::beginFrame(framed);
+    framed += tag;
+    framed += body;
+    wire::endFrame(framed, at);
     return wire::writeAll(fd, framed.data(), framed.size());
 }
 
@@ -275,7 +414,7 @@ FrameReader::next(std::string &payload)
     for (;;) {
         if (dec.next(payload))
             return true;
-        char buf[4096];
+        char buf[ioChunkBytes];
         const long n = wire::readSome(fd, buf, sizeof(buf));
         if (n < 0)
             throw wire::WireError(std::string("serve: read failed: ") +

@@ -36,6 +36,7 @@
 #ifndef RMTSIM_SERVE_PROTOCOL_HH
 #define RMTSIM_SERVE_PROTOCOL_HH
 
+#include <cstddef>
 #include <string>
 
 #include "common/json.hh"
@@ -50,6 +51,9 @@ namespace serve
 /** Frame payload tags. */
 constexpr char tagControl = 'C';
 constexpr char tagRow = 'R';
+
+/** Read size of FrameReader and the daemon's row-batch flush point. */
+constexpr std::size_t ioChunkBytes = 64 << 10;
 
 /** Default socket filename for examples/docs. */
 constexpr const char *defaultSocketName = "rmtsimd.sock";
@@ -71,10 +75,12 @@ SimOptions parseCanonicalOptions(const JsonValue &obj);
 
 /**
  * Parse a submit message into a Campaign (+ the timing flag).  Every
- * job's options are re-canonicalised and compared against the sent
- * pre-image: a mismatch (a client built with different option
+ * distinct options object is re-canonicalised and compared against
+ * the sent pre-image: a mismatch (a client built with different option
  * semantics) throws std::invalid_argument rather than silently
- * simulating something else.
+ * simulating something else.  An object equal member for member to
+ * one already verified in this call (numbers compared bit for bit)
+ * reuses its parsed options instead of being checked again.
  */
 Campaign parseSubmit(const JsonValue &msg, bool &include_timing);
 

@@ -8,6 +8,7 @@
 #include "common/fingerprint.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "runner/journal.hh"
 #include "runner/wire.hh"
 #include "sim/simulator.hh"
 
@@ -78,7 +79,7 @@ encodePayload(const std::string &mode, const JobResult &result)
 }
 
 bool
-decodePayload(const std::string &payload, std::string &mode,
+decodePayload(std::string_view payload, std::string &mode,
               JobResult &result)
 {
     if (payload.empty())
@@ -87,13 +88,26 @@ decodePayload(const std::string &payload, std::string &mode,
         static_cast<std::uint8_t>(payload[0]);
     if (payload.size() < 1 + mode_len)
         return false;
-    mode = payload.substr(1, mode_len);
+    mode = std::string(payload.substr(1, mode_len));
     try {
         result = wire::decodeJobResult(payload.substr(1 + mode_len));
     } catch (const wire::WireError &) {
         return false;
     }
     return true;
+}
+
+/** A resident payload as a JobResult.  It was encoded by publish() or
+ *  decoded once already when open() loaded it, so failure here is a
+ *  bug, not bad input. */
+JobResult
+residentResult(const std::string &payload)
+{
+    std::string mode;
+    JobResult result;
+    if (!decodePayload(payload, mode, result))
+        throw StoreError("result store: a resident row does not decode");
+    return result;
 }
 
 } // namespace
@@ -110,14 +124,8 @@ resultKeyU64(const JobSpec &spec)
     for (const std::string &w : spec.workloads)
         fnv1a64Field(h, w);
     fnv1a64Field(h, std::to_string(spec.seed));
-    for (const FaultRecord &f : spec.faults) {
-        std::ostringstream os;
-        os << faultKindName(f.kind) << ',' << f.when << ','
-           << unsigned(f.core) << ',' << unsigned(f.tid) << ','
-           << unsigned(f.reg) << ',' << f.bit << ',' << f.fuIndex << ','
-           << f.mask << ',' << unsigned(f.pairLogical);
-        fnv1a64Field(h, os.str());
-    }
+    for (const FaultRecord &f : spec.faults)
+        fnv1a64FaultField(h, f);
     return h;
 }
 
@@ -195,10 +203,10 @@ ResultStore::open(const std::string &dir)
                      path.c_str(), at);
                 break;
             }
+            std::string payload = data.substr(at + 16, len);
             std::string mode;
             JobResult result;
-            if (!decodePayload(data.substr(at + 16, len), mode,
-                               result)) {
+            if (!decodePayload(payload, mode, result)) {
                 warn("result store '%s': frame at offset %zu does not "
                      "decode; keeping the rows before it",
                      path.c_str(), at);
@@ -207,8 +215,7 @@ ResultStore::open(const std::string &dir)
             Entry &e = entries[key];
             if (!e.ready) {
                 e.ready = true;
-                e.result = std::move(result);
-                e.mode = mode;
+                e.payload = std::move(payload);
                 ++counters.rows;
                 ++counters.disk_rows;
                 ++counters.mode_rows[mode];
@@ -271,7 +278,7 @@ ResultStore::tryClaim(std::uint64_t key, JobResult &out)
     if (!it->second.ready)
         return Claim::InFlight;
     ++counters.hits;
-    out = it->second.result;
+    out = residentResult(it->second.payload);
     return Claim::Hit;
 }
 
@@ -285,7 +292,7 @@ ResultStore::await(std::uint64_t key, JobResult &out)
         if (it == entries.end())
             return false;       // owner abandoned; caller re-claims
         if (it->second.ready) {
-            out = it->second.result;
+            out = residentResult(it->second.payload);
             return true;
         }
         cv.wait(lock);
@@ -296,17 +303,17 @@ void
 ResultStore::publish(std::uint64_t key, const std::string &mode,
                      const JobResult &result)
 {
+    std::string payload = encodePayload(mode, result);
     std::lock_guard<std::mutex> lock(mu);
     Entry &e = entries[key];
     e.ready = true;
-    e.result = result;
-    e.mode = mode;
+    e.payload = std::move(payload);
     ++counters.rows;
     ++counters.mode_rows[mode];
     // Only completed work is worth persisting: a failure must unblock
     // waiters (it already has) but never poison a future daemon run.
     if (fd >= 0 && result.ok())
-        appendFrame(key, mode, result);
+        appendFrame(key, e.payload);
     cv.notify_all();
 }
 
@@ -321,10 +328,8 @@ ResultStore::abandon(std::uint64_t key)
 }
 
 void
-ResultStore::appendFrame(std::uint64_t key, const std::string &mode,
-                         const JobResult &result)
+ResultStore::appendFrame(std::uint64_t key, const std::string &payload)
 {
-    const std::string payload = encodePayload(mode, result);
     appendLe32(buffer, kFrameMagic);
     appendLe32(buffer, static_cast<std::uint32_t>(payload.size()));
     appendLe64(buffer, key);

@@ -137,15 +137,20 @@ class ResultStore
     std::string statsJson() const;
 
   private:
+    /**
+     * A ready entry holds its frame payload (mode + wire-encoded
+     * JobResult), the bytes the file stores, rather than a decoded
+     * JobResult: a resident row costs its encoded size, under half the
+     * struct's, and a hit decodes it.
+     */
     struct Entry
     {
         bool ready = false;     ///< false = in flight
-        JobResult result;
-        std::string mode;
+        std::string payload;
     };
 
-    void appendFrame(std::uint64_t key, const std::string &mode,
-                     const JobResult &result);   // caller holds mu
+    void appendFrame(std::uint64_t key,
+                     const std::string &payload);  // caller holds mu
     void syncLocked();                           // caller holds mu
 
     mutable std::mutex mu;

@@ -588,33 +588,52 @@ Simulation::statsJson(const RunResult &result)
     return os.str();
 }
 
+void
+appendOptionsCanonicalJson(std::string &out, const SimOptions &o)
+{
+    // Each key literal carries the separator and quote that precede
+    // its value, so the loop-free body reads as the output it makes.
+    const auto num = [&out](const char *key, std::uint64_t v) {
+        out += key;
+        appendUint(out, v);
+    };
+    const auto flag = [&out](const char *key, bool v) {
+        out += key;
+        out += v ? '1' : '0';
+    };
+    out += "{\"mode\":\"";
+    out += modeName(o.mode);
+    num("\",\"warmup_insts\":", o.warmup_insts);
+    num(",\"measure_insts\":", o.measure_insts);
+    num(",\"checker_penalty\":", o.checker_penalty);
+    flag(",\"ptsq\":", o.per_thread_store_queues);
+    flag(",\"store_comparison\":", o.store_comparison);
+    flag(",\"psr\":", o.preferential_space_redundancy);
+    out += ",\"frontend\":\"";
+    out += frontendName(o.trailing_fetch);
+    num("\",\"slack\":", o.slack_fetch);
+    flag(",\"lvq_ecc\":", o.lvq_ecc);
+    flag(",\"lpq_ecc\":", o.lpq_ecc);
+    flag(",\"boq_ecc\":", o.boq_ecc);
+    flag(",\"merge_ecc\":", o.merge_buffer_ecc);
+    num(",\"hang\":", o.hang_cycles);
+    num(",\"storeq\":", o.cpu.store_queue_entries);
+    num(",\"lvq\":", o.cpu.lvq_entries);
+    num(",\"lpq\":", o.cpu.lpq_entries);
+    num(",\"rob\":", o.cpu.rob_entries);
+    num(",\"iq\":", o.cpu.iq_entries);
+    flag(",\"recovery\":", o.recovery);
+    num(",\"snapshot_every\":", o.snapshot_every);
+    out += '}';
+}
+
 std::string
 optionsCanonicalJson(const SimOptions &o)
 {
-    std::ostringstream os;
-    os << "{\"mode\":\"" << modeName(o.mode) << "\""
-       << ",\"warmup_insts\":" << o.warmup_insts
-       << ",\"measure_insts\":" << o.measure_insts
-       << ",\"checker_penalty\":" << o.checker_penalty
-       << ",\"ptsq\":" << (o.per_thread_store_queues ? 1 : 0)
-       << ",\"store_comparison\":" << (o.store_comparison ? 1 : 0)
-       << ",\"psr\":" << (o.preferential_space_redundancy ? 1 : 0)
-       << ",\"frontend\":\"" << frontendName(o.trailing_fetch) << "\""
-       << ",\"slack\":" << o.slack_fetch
-       << ",\"lvq_ecc\":" << (o.lvq_ecc ? 1 : 0)
-       << ",\"lpq_ecc\":" << (o.lpq_ecc ? 1 : 0)
-       << ",\"boq_ecc\":" << (o.boq_ecc ? 1 : 0)
-       << ",\"merge_ecc\":" << (o.merge_buffer_ecc ? 1 : 0)
-       << ",\"hang\":" << o.hang_cycles
-       << ",\"storeq\":" << o.cpu.store_queue_entries
-       << ",\"lvq\":" << o.cpu.lvq_entries
-       << ",\"lpq\":" << o.cpu.lpq_entries
-       << ",\"rob\":" << o.cpu.rob_entries
-       << ",\"iq\":" << o.cpu.iq_entries
-       << ",\"recovery\":" << (o.recovery ? 1 : 0)
-       << ",\"snapshot_every\":" << o.snapshot_every
-       << "}";
-    return os.str();
+    std::string out;
+    out.reserve(canonicalOptionsReserve);
+    appendOptionsCanonicalJson(out, o);
+    return out;
 }
 
 std::uint64_t

@@ -92,6 +92,15 @@ struct SimOptions
  */
 std::string optionsCanonicalJson(const SimOptions &options);
 
+/** Append optionsCanonicalJson(@p options) to @p out; the encoders that
+ *  embed the options (rows, submits) write them in place this way. */
+void appendOptionsCanonicalJson(std::string &out,
+                                const SimOptions &options);
+
+/** Capacity that holds any canonical-options string (the longest
+ *  names with every integer at its type's maximum stay under 420). */
+constexpr std::size_t canonicalOptionsReserve = 512;
+
 /** FNV-1a-64 hash of optionsCanonicalJson(). */
 std::uint64_t optionsFingerprintU64(const SimOptions &options);
 
