@@ -1,5 +1,6 @@
 #include "ckpt/serializer.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -68,39 +69,44 @@ crc32(const void *data, std::size_t size)
     return c ^ 0xffffffffu;
 }
 
-void
-Serializer::put(const void *data, std::size_t size)
+namespace
 {
-    if (!inSection)
-        throw SnapshotError("serializer: write outside a section");
-    cur.append(static_cast<const char *>(data), size);
+
+void
+storeLe32(char *at, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        at[i] = static_cast<char>(v >> (8 * i));
 }
 
 void
-Serializer::u16(std::uint16_t v)
+storeLe64(char *at, std::uint64_t v)
 {
-    const std::uint8_t b[2] = {static_cast<std::uint8_t>(v),
-                               static_cast<std::uint8_t>(v >> 8)};
-    put(b, 2);
-}
-
-void
-Serializer::u32(std::uint32_t v)
-{
-    const std::uint8_t b[4] = {static_cast<std::uint8_t>(v),
-                               static_cast<std::uint8_t>(v >> 8),
-                               static_cast<std::uint8_t>(v >> 16),
-                               static_cast<std::uint8_t>(v >> 24)};
-    put(b, 4);
-}
-
-void
-Serializer::u64(std::uint64_t v)
-{
-    std::uint8_t b[8];
     for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    put(b, 8);
+        at[i] = static_cast<char>(v >> (8 * i));
+}
+
+} // namespace
+
+Serializer::Serializer() : len(headerBytes)
+{
+    grow(64 * 1024);
+}
+
+void
+Serializer::outsideSection() const
+{
+    throw SnapshotError("serializer: write outside a section");
+}
+
+void
+Serializer::grow(std::size_t size)
+{
+    cap = std::max(2 * cap, len + size);
+    auto bigger = std::make_unique_for_overwrite<char[]>(cap);
+    if (buf)
+        std::memcpy(bigger.get(), buf.get(), len);
+    buf = std::move(bigger);
 }
 
 void
@@ -131,41 +137,60 @@ Serializer::beginSection(const std::string &name)
                             "' still open");
     inSection = true;
     curName = name;
-    cur.clear();
+    if (!comparing) {
+        // Frame: name length, name, then the payload length, which
+        // endSection() fills in once the payload is written.
+        char frame[4];
+        storeLe32(frame, static_cast<std::uint32_t>(name.size()));
+        append(frame, 4);
+        append(name.data(), name.size());
+        lengthAt = len;
+        append("\0\0\0\0\0\0\0\0", 8);
+        return;
+    }
+    // The reference's frame for this section: name length, name,
+    // payload length.  The payload is then compared as it is written.
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(ref.data());
+    if (ref.size() < refPos || ref.size() - refPos < 4 + name.size() + 8 ||
+        le32At(bytes + refPos) != name.size() ||
+        ref.compare(refPos + 4, name.size(), name) != 0)
+        throw ImageMismatch{};
+    refPos += 4 + name.size();
+    const std::uint64_t length = le64At(bytes + refPos);
+    refPos += 8;
+    if (length > ref.size() - refPos || ref.size() - refPos - length < 4)
+        throw ImageMismatch{};
+    refEnd = refPos + static_cast<std::size_t>(length);
 }
-
-namespace
-{
-
-void
-appendLe32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendLe64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-} // namespace
 
 void
 Serializer::endSection()
 {
     if (!inSection)
         throw SnapshotError("serializer: no section open");
-    appendLe32(body, static_cast<std::uint32_t>(curName.size()));
-    body += curName;
-    appendLe64(body, cur.size());
-    body += cur;
-    appendLe32(body, crc32(cur.data(), cur.size()));
-    cur.clear();
     inSection = false;
     ++sections;
+    if (comparing) {
+        // Equal payloads have equal CRCs: skip the reference's.
+        if (refPos != refEnd)
+            throw ImageMismatch{};
+        refPos += 4;
+        return;
+    }
+    const std::size_t payload = lengthAt + 8;
+    storeLe64(buf.get() + lengthAt, len - payload);
+    char crc[4];
+    storeLe32(crc, crc32(buf.get() + payload, len - payload));
+    append(crc, 4);
+}
+
+void
+Serializer::writeHeader(char *at, std::uint64_t fingerprint) const
+{
+    std::memcpy(at, kMagic, sizeof(kMagic));
+    storeLe32(at + 8, formatVersion);
+    storeLe64(at + 12, fingerprint);
+    storeLe32(at + 20, sections);
 }
 
 std::string
@@ -174,14 +199,24 @@ Serializer::finish(std::uint64_t fingerprint) const
     if (inSection)
         throw SnapshotError("serializer: section '" + curName +
                             "' still open at finish");
-    std::string out;
-    out.reserve(8 + 4 + 8 + 4 + body.size());
-    out.append(kMagic, sizeof(kMagic));
-    appendLe32(out, formatVersion);
-    appendLe64(out, fingerprint);
-    appendLe32(out, sections);
-    out += body;
+    if (comparing)
+        throw SnapshotError("serializer: finish() on a comparing walk");
+    std::string out(buf.get(), len);
+    writeHeader(out.data(), fingerprint);
     return out;
+}
+
+bool
+Serializer::matches(std::uint64_t fingerprint) const
+{
+    if (!comparing || inSection)
+        throw SnapshotError("serializer: matches() needs a finished "
+                            "comparing walk");
+    char header[headerBytes];
+    writeHeader(header, fingerprint);
+    return refPos == ref.size() &&
+           ref.compare(0, headerBytes,
+                       std::string_view(header, headerBytes)) == 0;
 }
 
 Deserializer::Deserializer(std::string_view image,
@@ -374,12 +409,16 @@ Deserializer::str()
 std::span<const std::uint8_t>
 Deserializer::blob()
 {
-    const std::uint64_t n = u64();
-    need(static_cast<std::size_t>(n));
+    return bytes(static_cast<std::size_t>(u64()));
+}
+
+std::span<const std::uint8_t>
+Deserializer::bytes(std::size_t size)
+{
+    need(size);
     const std::span<const std::uint8_t> out(
-        reinterpret_cast<const std::uint8_t *>(data.data()) + pos,
-        static_cast<std::size_t>(n));
-    pos += static_cast<std::size_t>(n);
+        reinterpret_cast<const std::uint8_t *>(data.data()) + pos, size);
+    pos += size;
     return out;
 }
 

@@ -21,12 +21,19 @@
  * The header fingerprint pins the image to one simulator configuration:
  * restoring under different SimOptions (which would change the barrier
  * schedule and the machine shape) is rejected up front.
+ *
+ * A Serializer built over a reference image compares instead of
+ * building: the same save walk streams each byte against the reference
+ * and stops at the first one that differs, so "is the machine in this
+ * state?" costs no buffer, no CRC, and usually only a prefix of the walk.
  */
 
 #ifndef RMTSIM_CKPT_SERIALIZER_HH
 #define RMTSIM_CKPT_SERIALIZER_HH
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -45,11 +52,18 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/** Thrown by a comparing Serializer at the first byte that differs
+ *  from its reference image.  It only cuts the save walk short, so it
+ *  is not an error and does not derive from std::exception. */
+struct ImageMismatch
+{
+};
+
 /** CRC32 (IEEE 802.3 polynomial, reflected) of @p data, computed
  *  eight bytes at a time (slicing-by-8). */
 std::uint32_t crc32(const void *data, std::size_t size);
 
-/** Builds a snapshot image section by section. */
+/** Builds a snapshot image section by section, or compares one. */
 class Serializer
 {
   public:
@@ -57,34 +71,110 @@ class Serializer
      *  (commit-slot attribution). */
     static constexpr std::uint32_t formatVersion = 2;
 
+    /** Build a new image; finish() returns it. */
+    Serializer();
+
+    /**
+     * Compare rather than build: every byte the walk writes is checked
+     * against @p reference in place, and the first difference throws
+     * ImageMismatch.  Once the walk is done, matches() gives the
+     * verdict.  @p reference must outlive the Serializer.
+     */
+    explicit Serializer(std::string_view reference)
+        : ref(reference), comparing(true)
+    {
+    }
+
     /** Open a new tagged section; primitives go to it until end(). */
     void beginSection(const std::string &name);
     /** Seal the open section (appends the payload CRC). */
     void endSection();
 
     void u8(std::uint8_t v) { put(&v, 1); }
-    void u16(std::uint16_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u16(std::uint16_t v) { le<2>(v); }
+    void u32(std::uint32_t v) { le<4>(v); }
+    void u64(std::uint64_t v) { le<8>(v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void f64(double v);
     void boolean(bool v) { u8(v ? 1 : 0); }
     void str(const std::string &s);
     /** Raw byte blob, length-prefixed. */
     void blob(const void *data, std::size_t size);
+    /** @p size raw bytes, no length prefix: the same image as writing
+     *  each one with u8(), in one call. */
+    void bytes(const void *data, std::size_t size) { put(data, size); }
 
     /** Complete image: header (with @p fingerprint) + all sections.
      *  Must be called with no section open. */
     std::string finish(std::uint64_t fingerprint) const;
 
-  private:
-    void put(const void *data, std::size_t size);
+    /** Comparing mode: true iff the walk wrote exactly the reference
+     *  image, header with @p fingerprint included. */
+    bool matches(std::uint64_t fingerprint) const;
 
-    std::string body;           ///< sealed sections
-    std::string cur;            ///< open section payload
+  private:
+    static constexpr std::size_t headerBytes = 8 + 4 + 8 + 4;
+
+    /** Little-endian N-byte integer (one store on a little-endian
+     *  host once inlined). */
+    template <unsigned N>
+    void
+    le(std::uint64_t v)
+    {
+        std::uint8_t b[N];
+        for (unsigned i = 0; i < N; ++i)
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        put(b, N);
+    }
+
+    /** Every primitive lands here; inline, so a fixed-size write is a
+     *  copy or a compare of a few bytes. */
+    void
+    put(const void *data, std::size_t size)
+    {
+        if (!inSection) [[unlikely]]
+            outsideSection();
+        if (comparing) {
+            if (size > refEnd - refPos ||
+                std::memcmp(ref.data() + refPos, data, size) != 0)
+                throw ImageMismatch{};
+            refPos += size;
+            return;
+        }
+        append(data, size);
+    }
+
+    void
+    append(const void *data, std::size_t size)
+    {
+        if (size > cap - len) [[unlikely]]
+            grow(size);
+        std::memcpy(buf.get() + len, data, size);
+        len += size;
+    }
+
+    [[noreturn]] void outsideSection() const;
+    void grow(std::size_t size);
+    /** Header bytes for @p fingerprint and the sections sealed so far. */
+    void writeHeader(char *at, std::uint64_t fingerprint) const;
+
+    // Building: buf[0, len) is the header's room, the sealed sections
+    // and the open section's frame and payload so far (uninitialised
+    // beyond len, up to cap).
+    std::unique_ptr<char[]> buf;
+    std::size_t cap = 0;
+    std::size_t len = 0;
+    std::size_t lengthAt = 0;   ///< open section's payload-length field
     std::string curName;
     bool inSection = false;
     std::uint32_t sections = 0;
+
+    // Comparing: the reference, the next unread byte of it, and one
+    // past the payload of the open section.
+    std::string_view ref;
+    std::size_t refPos = headerBytes;
+    std::size_t refEnd = 0;
+    bool comparing = false;
 };
 
 /** Reads a snapshot image produced by Serializer, in place: the
@@ -122,6 +212,8 @@ class Deserializer
     std::string str();
     /** Length-prefixed byte blob, viewed in place in the image. */
     std::span<const std::uint8_t> blob();
+    /** The next @p size raw bytes (Serializer::bytes), in place. */
+    std::span<const std::uint8_t> bytes(std::size_t size);
 
     /** Fingerprint carried in the image header. */
     std::uint64_t fingerprint() const { return fp; }

@@ -1,8 +1,8 @@
 #include "common/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace rmt
 {
@@ -56,9 +56,11 @@ jsonNum(double v)
 {
     if (!std::isfinite(v))
         v = 0;
+    // The same text as printf's "%.12g", without the format parsing.
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return buf;
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 12);
+    return std::string(buf, r.ptr);
 }
 
 const JsonValue *
@@ -289,17 +291,52 @@ class JsonParser
         return fail("unterminated string");
     }
 
+    /** Skip a run of decimal digits; false if there is none. */
+    bool
+    digits()
+    {
+        const std::size_t start = pos;
+        while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
+            ++pos;
+        return pos > start;
+    }
+
+    /** RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+     *  Nothing else is a number: no hex, no "+1", ".5", "1.", "01",
+     *  inf or nan. */
     bool
     number(JsonValue &out)
     {
-        const char *start = s.c_str() + pos;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start)
+        const std::size_t start = pos;
+        if (pos < s.size() && s[pos] == '-')
+            ++pos;
+        if (pos < s.size() && s[pos] == '0') {
+            ++pos;
+        } else if (pos >= s.size() || s[pos] < '1' || s[pos] > '9' ||
+                   !digits()) {
+            pos = start;
             return fail("expected a value");
+        }
+        if (pos < s.size() && s[pos] == '.') {
+            ++pos;
+            if (!digits())
+                return fail("expected a digit after the decimal point");
+        }
+        if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
+            ++pos;
+            if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
+                ++pos;
+            if (!digits())
+                return fail("expected a digit in the exponent");
+        }
+        double v = 0;
+        const auto r = std::from_chars(s.data() + start, s.data() + pos, v);
+        if (r.ec != std::errc() || r.ptr != s.data() + pos) {
+            pos = start;
+            return fail("number out of range");
+        }
         out._kind = JsonValue::Kind::Number;
         out._number = v;
-        pos += static_cast<std::size_t>(end - start);
         return true;
     }
 

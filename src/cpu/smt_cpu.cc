@@ -571,6 +571,20 @@ SmtCpu::drainedForSnapshot() const
     return true;
 }
 
+bool
+SmtCpu::liveRegsCommitted() const
+{
+    for (const ThreadState &t : threads) {
+        if (!t.active)
+            continue;
+        for (unsigned r = 1; r < numArchRegs; ++r) {
+            if (readPhys(t.renameMap[r]) != t.archRegs[r])
+                return false;
+        }
+    }
+    return true;
+}
+
 void
 SmtCpu::saveState(Serializer &s) const
 {

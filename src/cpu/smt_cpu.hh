@@ -278,6 +278,14 @@ class SmtCpu : public Snapshottable
     bool drainedForSnapshot() const;
 
     /**
+     * At a quiesce point: every live register holds its thread's
+     * committed value.  saveState() writes the committed values, so a
+     * register strike that no instruction has read or overwritten yet
+     * shows only here, not in the image.
+     */
+    bool liveRegsCommitted() const;
+
+    /**
      * Architectural + timing-relevant microarchitectural state.  Valid
      * only at a quiesce point (drainedForSnapshot()); statistics are
      * restored separately through the chip stat walk.

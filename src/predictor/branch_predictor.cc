@@ -1,5 +1,7 @@
 #include "predictor/branch_predictor.hh"
 
+#include <algorithm>
+
 #include "common/bits.hh"
 #include "common/logging.hh"
 
@@ -77,15 +79,10 @@ BranchPredictor::update(ThreadId tid, Addr pc, bool taken_dir,
 void
 BranchPredictor::saveState(Serializer &s) const
 {
-    s.u32(static_cast<std::uint32_t>(gshare.size()));
-    for (const std::uint8_t c : gshare)
-        s.u8(c);
-    s.u32(static_cast<std::uint32_t>(bimodal.size()));
-    for (const std::uint8_t c : bimodal)
-        s.u8(c);
-    s.u32(static_cast<std::uint32_t>(chooser.size()));
-    for (const std::uint8_t c : chooser)
-        s.u8(c);
+    for (const auto *table : {&gshare, &bimodal, &chooser}) {
+        s.u32(static_cast<std::uint32_t>(table->size()));
+        s.bytes(table->data(), table->size());
+    }
     s.u32(static_cast<std::uint32_t>(histories.size()));
     for (const HistorySnapshot h : histories)
         s.u64(h);
@@ -97,8 +94,8 @@ BranchPredictor::loadState(Deserializer &d)
     auto counters = [&d](std::vector<std::uint8_t> &vec) {
         if (d.u32() != vec.size())
             throw SnapshotError("branch predictor: table size mismatch");
-        for (std::uint8_t &c : vec)
-            c = d.u8();
+        const std::span<const std::uint8_t> in = d.bytes(vec.size());
+        std::copy(in.begin(), in.end(), vec.begin());
     };
     counters(gshare);
     counters(bimodal);

@@ -316,6 +316,18 @@ FaultInjector::filterFuResult(CoreId core, unsigned fu_index, Cycle now,
 }
 
 bool
+FaultInjector::spent() const
+{
+    for (const auto &fault : faults) {
+        if (!fault.applied ||
+            fault.kind == FaultRecord::Kind::PermanentFu) {
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
 FaultInjector::hasPermanentFault(CoreId core) const
 {
     for (const auto &fault : faults) {

@@ -177,6 +177,10 @@ class FaultInjector
 
     unsigned transientsApplied() const { return applied; }
 
+    /** Nothing left to fire: every scheduled fault has applied, and
+     *  none is a permanent FU fault, which keeps acting on results. */
+    bool spent() const;
+
     const std::vector<FaultRecord> &scheduled() const { return faults; }
 
   private:

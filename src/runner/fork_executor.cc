@@ -68,7 +68,10 @@ ForkExecutor::ForkExecutor(const ForkExecutorConfig &config)
         _cfg.warm_cache = 1;
 }
 
-ForkExecutor::~ForkExecutor() = default;
+ForkExecutor::~ForkExecutor()
+{
+    reapExited(true);
+}
 
 bool
 ForkExecutor::supported()
@@ -108,6 +111,7 @@ ForkExecutor::warmFor(const JobSpec &spec, const SimOptions &capped)
     warm->key = key;
     warm->capped = capped;
     warm->sim.emplace(spec.workloads, capped);
+    warm->sim->setGoldenRun(set);   // inherited: trials stop early
     warm->snap.enabled = eligible;
     if (cached) {
         warm->sim->restoreSnapshotBuffer(*cached->image);
@@ -125,12 +129,26 @@ ForkExecutor::warmFor(const JobSpec &spec, const SimOptions &capped)
 
 #ifdef RMT_FORK_EXECUTOR_POSIX
 
+void
+ForkExecutor::reapExited(bool block)
+{
+    std::erase_if(_exiting, [block](int pid) {
+        for (;;) {
+            const pid_t rc = ::waitpid(pid, nullptr, block ? 0 : WNOHANG);
+            if (rc < 0 && errno == EINTR)
+                continue;
+            return rc != 0;     // reaped, or no longer our child
+        }
+    });
+}
+
 JobResult
 ForkExecutor::runForked(const JobSpec &spec, WarmedSim &warm,
                         bool &crashed)
 {
     using Clock = std::chrono::steady_clock;
     crashed = false;
+    reapExited(false);
 
     int fds[2];
     if (::pipe(fds) != 0) {
@@ -196,7 +214,7 @@ ForkExecutor::runForked(const JobSpec &spec, WarmedSim &warm,
         bool sent = false;
         try {
             const std::string frame =
-                wire::frame(wire::encodeJobResult(result));
+                wire::frame(wire::encodeTrial(result));
             sent = wire::writeAll(fds[1], frame.data(), frame.size());
         } catch (...) {
             sent = false;
@@ -269,6 +287,25 @@ ForkExecutor::runForked(const JobSpec &spec, WarmedSim &warm,
         ::kill(pid, SIGKILL);
     ::close(fds[0]);
 
+    if (!killed && wire_error.empty() && got_record && !overflow &&
+        !decoder.truncated()) {
+        try {
+            JobResult decoded = wire::decodeTrial(payload);
+            if (decoded.id == spec.id) {
+                // The record is all we need.  The child may still be
+                // tearing down its copy of the address space; reap it
+                // later so that overlaps the next trial.
+                _exiting.push_back(pid);
+                ++_stats.forked;
+                return decoded;
+            }
+            wire_error = "record id does not match the dispatched job";
+        } catch (const wire::WireError &e) {
+            wire_error = e.what();
+        }
+    }
+
+    // No usable record: the exit status goes into the error.
     int status = 0;
     while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
@@ -288,20 +325,6 @@ ForkExecutor::runForked(const JobSpec &spec, WarmedSim &warm,
         result.error = "trial child killed after exceeding timeout of " +
                        std::to_string(timeout) + " s";
         return result;
-    }
-
-    if (wire_error.empty() && got_record && !overflow &&
-        !decoder.truncated()) {
-        try {
-            JobResult decoded = wire::decodeJobResult(payload);
-            if (decoded.id == spec.id) {
-                ++_stats.forked;
-                return decoded;
-            }
-            wire_error = "record id does not match the dispatched job";
-        } catch (const wire::WireError &e) {
-            wire_error = e.what();
-        }
     }
 
     ++_stats.wire_errors;
@@ -327,6 +350,11 @@ ForkExecutor::runForked(const JobSpec &spec, WarmedSim &warm,
 }
 
 #else // !RMT_FORK_EXECUTOR_POSIX
+
+void
+ForkExecutor::reapExited(bool)
+{
+}
 
 JobResult
 ForkExecutor::runForked(const JobSpec &spec, WarmedSim &, bool &crashed)
@@ -425,10 +453,15 @@ ForkExecutor::run(const std::vector<JobSpec> &jobs)
                 result = runWithRetry(spec);
             }
         }
+        if (result.ok() && result.run.reconverged_at) {
+            ++_stats.reconverged;
+            _stats.cycles_skipped += result.run.cycles_skipped;
+        }
         if (_cfg.runner.sink)
             _cfg.runner.sink->record(spec, result);
         results.push_back(std::move(result));
     }
+    reapExited(true);
     return results;
 }
 

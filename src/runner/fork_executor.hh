@@ -73,6 +73,10 @@ class ForkExecutor
         std::uint64_t warm_builds = 0;  ///< warmed simulations built
         std::uint64_t retries = 0;      ///< re-forks after a crash
         std::uint64_t quarantined = 0;  ///< trials that exhausted retries
+        /** Trials that stopped at a barrier matching the golden run
+         *  (Simulation::setGoldenRun), forked or in-process. */
+        std::uint64_t reconverged = 0;
+        std::uint64_t cycles_skipped = 0;   ///< golden cycles not re-run
     };
 
     explicit ForkExecutor(const ForkExecutorConfig &config);
@@ -106,9 +110,13 @@ class ForkExecutor
                         bool &crashed);
     JobResult runWithRetry(const JobSpec &spec);
     void backoffSleep(std::uint64_t seed, unsigned attempt) const;
+    /** Reap children that delivered their record; @p block waits for
+     *  the ones still exiting. */
+    void reapExited(bool block);
 
     ForkExecutorConfig _cfg;
     std::list<std::unique_ptr<WarmedSim>> _warm;    // LRU, front = hot
+    std::vector<int> _exiting;      ///< delivered, not yet reaped
     Stats _stats;
 };
 

@@ -133,12 +133,12 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
             SnapshotForkInfo snap;
             snap.enabled = config.snapshots && capped.snapshot_every &&
                            !spec.faults.empty();
+            std::shared_ptr<const SnapshotSet> set;
             if (snap.enabled) {
                 Cycle first_fault = spec.faults.front().when;
                 for (const FaultRecord &f : spec.faults)
                     first_fault = std::min(first_fault, f.when);
-                const auto set =
-                    config.snapshots->snapshots(spec.workloads, capped);
+                set = config.snapshots->snapshots(spec.workloads, capped);
                 if (const CachedSnapshot *cached =
                         SnapshotCache::latestBefore(*set, first_fault)) {
                     try {
@@ -159,6 +159,7 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                              e.what());
                         config.snapshots->invalidate(spec.workloads,
                                                      capped);
+                        set.reset();
                         sim.emplace(spec.workloads, capped);
                         snap.scratch_fallback = true;
                     }
@@ -182,6 +183,8 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                 for (const FaultRecord &f : spec.faults)
                     sim->faultInjector().schedule(f);
             }
+            // Stop at the first barrier that matches the golden run.
+            sim->setGoldenRun(set);
             const RunResult run = sim->run();
 
             result.wall_seconds =

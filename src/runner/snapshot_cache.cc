@@ -36,8 +36,12 @@ produce(const std::vector<std::string> &workloads,
         set->push_back({cycle, std::make_shared<const std::string>(
                                    s.saveSnapshotBuffer())});
     });
-    sim.run();
     // The hook fires at barriers in cycle order; no sort needed.
+    set->end_result = sim.run();
+    if (set->end_result.outcome == Outcome::Completed) {
+        set->end_image =
+            std::make_shared<const std::string>(sim.saveSnapshotBuffer());
+    }
     return set;
 }
 

@@ -9,7 +9,9 @@
  * the common prefix: one fault-free producer run per distinct
  * (mix, options-fingerprint) collects a snapshot at every barrier, and
  * each trial restores the latest snapshot strictly before its first
- * fault's activation cycle.
+ * fault's activation cycle.  The producer also keeps its end image and
+ * RunResult, so a trial that reconverges with it at a later barrier can
+ * stop there (Simulation::setGoldenRun).
  *
  * Thread-safe with single-flight semantics, exactly like BaselineCache:
  * when N workers ask for the same point's snapshots at once, one runs
@@ -32,25 +34,15 @@
 namespace rmt
 {
 
-/** One periodic snapshot: the barrier cycle and the serialized image
- *  (shared so trials on many workers alias one copy). */
-struct CachedSnapshot
-{
-    Cycle cycle = 0;
-    std::shared_ptr<const std::string> image;
-};
-
-/** All snapshots of one producer run, sorted by ascending cycle. */
-using SnapshotSet = std::vector<CachedSnapshot>;
-
 class SnapshotCache
 {
   public:
     /**
      * Snapshots for (@p workloads, @p options), producing them on first
-     * use with one fault-free run.  @p options must have snapshot_every
-     * set and must be the exact options the trials run under (the
-     * snapshot fingerprint check enforces this at restore time).
+     * use with one fault-free run, plus that run's end state.
+     * @p options must have snapshot_every set and must be the exact
+     * options the trials run under (the snapshot fingerprint check
+     * enforces this at restore time).
      * Returns an empty set when the producer run placed no barriers
      * (budget shorter than snapshot_every).
      */

@@ -253,6 +253,27 @@ decodeJobResult(std::string_view payload)
 }
 
 std::string
+encodeTrial(const JobResult &result)
+{
+    std::string out = encodeJobResult(result);
+    putU64(out, result.run.reconverged_at);
+    putU64(out, result.run.cycles_skipped);
+    return out;
+}
+
+JobResult
+decodeTrial(std::string_view payload)
+{
+    if (payload.size() < 16)
+        throw WireError("wire: trial record truncated");
+    JobResult r = decodeJobResult(payload.substr(0, payload.size() - 16));
+    Reader tail(payload.substr(payload.size() - 16));
+    r.run.reconverged_at = tail.u64();
+    r.run.cycles_skipped = tail.u64();
+    return r;
+}
+
+std::string
 frame(const std::string &payload)
 {
     std::string out;

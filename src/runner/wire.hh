@@ -57,6 +57,17 @@ std::string encodeJobResult(const JobResult &result);
 /** Inverse of encodeJobResult; throws WireError on malformed input. */
 JobResult decodeJobResult(std::string_view payload);
 
+/**
+ * A forked trial's record on the pipe: the encodeJobResult payload
+ * followed by its run's reconverged_at and cycles_skipped (u64 each).
+ * Those two fields never reach the journal or the store, so the
+ * persisted codec stays as it is.
+ */
+std::string encodeTrial(const JobResult &result);
+
+/** Inverse of encodeTrial; throws WireError on malformed input. */
+JobResult decodeTrial(std::string_view payload);
+
 /** Wrap a payload in a frame: magic + u32 length + bytes. */
 std::string frame(const std::string &payload);
 

@@ -377,6 +377,7 @@ Simulation::run()
     double warmup_seconds = 0;
     bool in_warmup = opts.warmup_insts > 0;
     bool hung = false;
+    bool stopped_early = false;
     Cycle n = 0;
 
     // One simulated cycle with warmup/watchdog accounting; shared by
@@ -432,13 +433,19 @@ Simulation::run()
                 }
             }
             _chip->setDraining(false);
-            if (!hung && _chip->quiescedForSnapshot() && snapshotHook)
-                snapshotHook(_chip->cycle(), *this);
+            if (!hung && _chip->quiescedForSnapshot()) {
+                if (snapshotHook)
+                    snapshotHook(_chip->cycle(), *this);
+                if (reconverged()) {
+                    stopped_early = true;
+                    break;
+                }
+            }
             next_barrier = (_chip->cycle() / snap_every + 1) * snap_every;
         }
     }
     // Drain: forwarded outputs may still be in flight (Chip::run).
-    if (_chip->allDone()) {
+    if (!stopped_early && _chip->allDone()) {
         for (Cycle d = 0; d < Chip::drainCycles && n < cap; ++d, ++n)
             _chip->tick();
     }
@@ -446,10 +453,63 @@ Simulation::run()
         warmup_seconds = run_timer.lap();
     const double measure_seconds = run_timer.lap();
 
+    std::uint64_t committed_total = 0;
+    for (unsigned c = 0; c < _chip->numCores(); ++c)
+        committed_total += _chip->cpu(c).committedAll();
+
     RunResult result;
+    if (stopped_early) {
+        // The rest of the run would repeat the golden one: take its end
+        // state, so post-run readers see what a full run leaves.
+        const Cycle at = _chip->cycle();
+        Deserializer d(*goldenRun->end_image, optionsFingerprintU64(opts));
+        applySnapshot(d);
+        result = goldenRun->end_result;
+        result.reconverged_at = at;
+        result.cycles_skipped = result.total_cycles - at;
+    } else {
+        result = collectResult(hung);
+    }
+    result.host = HostTiming{};
     result.host.build_seconds = buildSeconds;
     result.host.warmup_seconds = warmup_seconds;
     result.host.measure_seconds = measure_seconds;
+    const double sim_seconds = warmup_seconds + measure_seconds;
+    if (sim_seconds > 0) {
+        result.host.sim_kips =
+            static_cast<double>(committed_total) / sim_seconds / 1000.0;
+    }
+
+    if (opts.collect_stats_json)
+        result.stats_json = statsJson(result);
+    finished = true;
+    return result;
+}
+
+bool
+Simulation::reconverged()
+{
+    // A timeline probe samples every cycle, so it needs them all.
+    if (!goldenRun || !goldenRun->end_image || probe || !injector.spent())
+        return false;
+    for (unsigned c = 0; c < _chip->numCores(); ++c) {
+        if (!_chip->cpu(c).liveRegsCommitted())
+            return false;
+    }
+    const SnapshotSet &golden = *goldenRun;
+    const Cycle now = _chip->cycle();
+    while (goldenNext < golden.size() && golden[goldenNext].cycle < now)
+        ++goldenNext;
+    return goldenNext < golden.size() && golden[goldenNext].cycle == now &&
+           matchesSnapshotBuffer(*golden[goldenNext].image);
+}
+
+RunResult
+Simulation::collectResult(bool hung)
+{
+    const std::uint64_t per_thread =
+        opts.warmup_insts + opts.measure_insts;
+    RunResult result;
     result.total_cycles = _chip->cycle();
 
     for (unsigned i = 0; i < workloads.size(); ++i) {
@@ -526,18 +586,6 @@ Simulation::run()
                                            : Outcome::Hang;
     }
     result.completed = result.outcome == Outcome::Completed;
-
-    std::uint64_t committed_total = 0;
-    for (unsigned c = 0; c < _chip->numCores(); ++c)
-        committed_total += _chip->cpu(c).committedAll();
-    const double sim_seconds = warmup_seconds + measure_seconds;
-    if (sim_seconds > 0) {
-        result.host.sim_kips =
-            static_cast<double>(committed_total) / sim_seconds / 1000.0;
-    }
-
-    if (opts.collect_stats_json)
-        result.stats_json = statsJson(result);
     return result;
 }
 
@@ -704,17 +752,36 @@ loadSparseMemory(Deserializer &d, DataMemory &m)
 std::string
 Simulation::saveSnapshotBuffer() const
 {
+    Serializer s;
+    writeSnapshot(s);
+    return s.finish(optionsFingerprintU64(opts));
+}
+
+bool
+Simulation::matchesSnapshotBuffer(std::string_view image) const
+{
+    Serializer s(image);
+    try {
+        writeSnapshot(s);
+    } catch (const ImageMismatch &) {
+        return false;
+    }
+    return s.matches(optionsFingerprintU64(opts));
+}
+
+void
+Simulation::writeSnapshot(Serializer &s) const
+{
     if (opts.cosim)
         throw SnapshotError("snapshots are incompatible with cosim");
     if (opts.recovery)
         throw SnapshotError("snapshots are incompatible with recovery");
-    if (!_chip->quiescedForSnapshot()) {
+    if (!finished && !_chip->quiescedForSnapshot()) {
         throw SnapshotError(
             "snapshot requires a quiesced chip (save from the snapshot "
             "hook or after the run finished)");
     }
 
-    Serializer s;
     s.beginSection("meta");
     s.u64(_chip->cycle());
     s.u32(static_cast<std::uint32_t>(workloads.size()));
@@ -736,7 +803,6 @@ Simulation::saveSnapshotBuffer() const
     s.endSection();
 
     saveChipStats(s, *_chip);
-    return s.finish(optionsFingerprintU64(opts));
 }
 
 void

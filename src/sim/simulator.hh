@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cmp/chip.hh"
@@ -165,10 +166,42 @@ struct RunResult
     std::uint64_t attribution_core_cycles = 0;  ///< sum of per-core cycles
     unsigned commit_width = 0;
 
+    /**
+     * Reconvergence (Simulation::setGoldenRun): the barrier cycle at
+     * which this run's state matched the golden run's and it stopped,
+     * and the golden cycles after it that were never simulated; both 0
+     * for a run that went to the end.  Bookkeeping only, like `host`,
+     * but never serialised: every other field is then the golden run's.
+     */
+    Cycle reconverged_at = 0;
+    Cycle cycles_skipped = 0;
+
     double fuSameFraction() const
     {
         return fu_pairs ? static_cast<double>(fu_same_unit) / fu_pairs : 0;
     }
+};
+
+/** One snapshot barrier of a run: the cycle it quiesced at and its
+ *  image (shared, so trials on many workers alias one copy). */
+struct CachedSnapshot
+{
+    Cycle cycle = 0;
+    std::shared_ptr<const std::string> image;
+};
+
+/**
+ * Everything a fault-free run left at its snapshot barriers, in
+ * ascending cycle order, and at its end.  Trials restore from the
+ * barrier images; a trial whose state later matches one of them stops
+ * there and takes the end state instead of simulating it again.
+ */
+struct SnapshotSet : std::vector<CachedSnapshot>
+{
+    /** The image saved after run() returned, or null unless that run
+     *  completed (a trial never stops early into a hang or the cap). */
+    std::shared_ptr<const std::string> end_image;
+    RunResult end_result;       ///< what that run() returned
 };
 
 /**
@@ -191,8 +224,31 @@ class Simulation
         return static_cast<unsigned>(workloads.size());
     }
 
-    /** Run to completion (or the safety cap); gather results. */
+    /**
+     * Run to completion (or the safety cap); gather results.  With a
+     * golden run set, stop early at the first snapshot barrier where
+     * the run has reconverged with it (see setGoldenRun).
+     */
     RunResult run();
+
+    /**
+     * Compare this run against @p golden, a fault-free run of the same
+     * workloads and options, at every snapshot barrier.  The run stops
+     * at the first barrier where (a) the injector has nothing left to
+     * fire, meaning every scheduled fault has applied and none is a
+     * permanent FU fault, (b) every live register holds its committed
+     * value (SmtCpu::liveRegsCommitted; the image holds only those),
+     * and (c) matchesSnapshotBuffer() holds for the golden image taken
+     * at the same cycle.  The rest of the run would
+     * repeat the golden one, so the simulation takes the golden end
+     * state and run() returns the golden RunResult with its own host
+     * timings, reconverged_at and cycles_skipped.  A set without an end
+     * image, or a timeline probe, disables the check.
+     */
+    void setGoldenRun(std::shared_ptr<const SnapshotSet> golden)
+    {
+        goldenRun = std::move(golden);
+    }
 
     /** The timeline probe, or nullptr when timeline_interval == 0. */
     TimelineProbe *timeline() { return probe.get(); }
@@ -236,10 +292,21 @@ class Simulation
     /**
      * Serialize the whole simulation (chip, data memories, statistics)
      * into a snapshot image.  Only valid at a quiesce point — i.e. from
-     * the snapshot hook, or after run() returned — and throws
-     * SnapshotError otherwise.
+     * the snapshot hook — or after run() returned, and throws
+     * SnapshotError otherwise.  An image taken after run() is the
+     * run's end state for post-run readers (memories, detections,
+     * stats), not a point to resume from: instructions still in flight
+     * when the last thread finished are not in it.
      */
     std::string saveSnapshotBuffer() const;
+
+    /**
+     * True iff saveSnapshotBuffer() would return exactly @p image.
+     * Runs the same save walk through a comparing Serializer, so it
+     * builds no image and stops at the first differing byte.  Same
+     * quiesce requirement as saveSnapshotBuffer().
+     */
+    bool matchesSnapshotBuffer(std::string_view image) const;
 
     /**
      * Restore a snapshot image into this freshly built (never run)
@@ -268,6 +335,12 @@ class Simulation
     void buildCrt();
     /** Apply every section of @p d; returns the image's cycle. */
     Cycle applySnapshot(Deserializer &d);
+    /** The save walk behind saveSnapshotBuffer/matchesSnapshotBuffer. */
+    void writeSnapshot(Serializer &s) const;
+    /** At a barrier: may the run stop here (setGoldenRun)? */
+    bool reconverged();
+    /** The RunResult of a run that went to its end, host timing aside. */
+    RunResult collectResult(bool hung);
 
     SimOptions opts;
     std::string statsJsonPrefix;    ///< cached invariant stats-JSON head
@@ -281,6 +354,9 @@ class Simulation
     double buildSeconds = 0;
     SnapshotHook snapshotHook;
     Cycle restoredAt = 0;
+    bool finished = false;          ///< run() has returned
+    std::shared_ptr<const SnapshotSet> goldenRun;
+    std::size_t goldenNext = 0;     ///< first golden barrier not passed
 };
 
 /** Convenience: build + run in one call. */

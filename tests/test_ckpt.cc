@@ -14,6 +14,9 @@
  *    both rejected before any state is touched;
  *  - a fault scheduled at or before the restored cycle is rejected
  *    (it would fire immediately instead of at its nominal cycle);
+ *  - the comparing save walk agrees with save-then-compare on every
+ *    single-byte change, and the image saved after run() restores the
+ *    finished run's state;
  *  - snapshot-forked fault campaigns are -j invariant and verdict-
  *    identical to from-scratch campaigns.
  */
@@ -174,6 +177,60 @@ TEST(Checkpoint, StatsJsonAfterRestoreMatchesUnbrokenRun)
         // In particular the restored attribution still conserves.
         EXPECT_EQ(rr.attribution.total(),
                   rr.attribution_core_cycles * rr.commit_width)
+            << modeName(mode);
+    }
+}
+
+TEST(Checkpoint, ComparingWalkAgreesWithSave)
+{
+    const SimMode all[] = {SimMode::Base, SimMode::Base2, SimMode::Srt,
+                           SimMode::Lockstep, SimMode::Crt};
+    for (const SimMode mode : all) {
+        const auto workloads = modeWorkloads(mode);
+        Simulation sim(workloads, snapshotOptions(mode));
+        bool checked = false;
+        sim.setSnapshotHook([&](Cycle, Simulation &s) {
+            if (checked)
+                return;
+            checked = true;
+            const std::string image = s.saveSnapshotBuffer();
+            EXPECT_TRUE(s.matchesSnapshotBuffer(image)) << modeName(mode);
+            // Any one byte off, anywhere: header, frames, payloads, CRCs.
+            for (std::size_t at = 0; at < image.size();
+                 at += 1 + at / 8) {
+                std::string bad = image;
+                bad[at] = static_cast<char>(bad[at] ^ 0x10);
+                EXPECT_FALSE(s.matchesSnapshotBuffer(bad))
+                    << modeName(mode) << " byte " << at;
+            }
+            EXPECT_FALSE(s.matchesSnapshotBuffer(
+                image.substr(0, image.size() - 1)));
+            EXPECT_FALSE(s.matchesSnapshotBuffer(image + '\0'));
+            EXPECT_FALSE(s.matchesSnapshotBuffer(""));
+        });
+        sim.run();
+        EXPECT_TRUE(checked) << modeName(mode);
+    }
+}
+
+TEST(Checkpoint, EndOfRunImageRestoresTheFinalState)
+{
+    // After run() the machine may hold instructions past the last
+    // thread's target; the end image leaves them out but keeps every
+    // finished-run reading: memories, detections, the stats tree.
+    for (const SimMode mode : {SimMode::Srt, SimMode::Crt}) {
+        const auto workloads = modeWorkloads(mode);
+        const SimOptions o = snapshotOptions(mode);
+        Simulation sim(workloads, o);
+        const RunResult r = sim.run();
+        const std::string image = sim.saveSnapshotBuffer();
+        EXPECT_TRUE(sim.matchesSnapshotBuffer(image));
+
+        Simulation restored(workloads, o);
+        restored.restoreSnapshotBuffer(image);
+        EXPECT_EQ(restored.saveSnapshotBuffer(), image) << modeName(mode);
+        EXPECT_EQ(stripHost(restored.statsJson(r)),
+                  stripHost(sim.statsJson(r)))
             << modeName(mode);
     }
 }

@@ -15,7 +15,10 @@
  *  - the per-trial watchdog SIGKILLs an overrunning child and records
  *    a timed-out failure;
  *  - invalid specs and sink delivery behave exactly like the
- *    in-process runner (recorded failure, id-ordered records).
+ *    in-process runner (recorded failure, id-ordered records);
+ *  - a trial stops at the first barrier where it has reconverged with
+ *    the golden run, and only then, on both paths, with the row that
+ *    full re-simulation writes.
  */
 
 #include <gtest/gtest.h>
@@ -630,4 +633,266 @@ TEST(ForkExecutor, SinkReceivesEveryRecordInJobOrder)
         EXPECT_EQ(sink.ids[i], jobs[i].id);
         expectSameVerdict(sink.results[i], results[i]);
     }
+}
+
+// ------------------------------------------------------------------
+// Reconvergence: a trial that restored from a snapshot stops at the
+// first later barrier whose image equals the golden run's, and its row
+// is still the one full re-simulation writes.
+
+namespace
+{
+
+/** A barriered compress run and its golden barrier/end set. */
+struct Golden
+{
+    SimOptions options;
+    std::shared_ptr<const SnapshotSet> set;
+};
+
+Golden
+goldenRun()
+{
+    Golden g;
+    g.options = trialOptions();
+    Cycle total;
+    {
+        Simulation probe({"compress"}, g.options);
+        total = probe.run().total_cycles;
+    }
+    g.options.snapshot_every = std::max<Cycle>(1, total / 4);
+    SnapshotCache cache;
+    g.set = cache.snapshots({"compress"}, g.options);
+    return g;
+}
+
+JobSpec
+trialSpec(const Golden &g, const FaultRecord &fault)
+{
+    JobSpec spec;
+    spec.id = 0;
+    spec.label = "reconverge";
+    spec.workloads = {"compress"};
+    spec.options = g.options;
+    spec.faults = {fault};
+    return spec;
+}
+
+/** The row full re-simulation and both snapshot paths must agree on;
+ *  "extra" only records which path ran. */
+std::string
+row(const JobSpec &spec, JobResult r)
+{
+    EXPECT_TRUE(r.ok()) << r.error;
+    r.extra.clear();
+    return resultJson(spec, r, false);
+}
+
+/** One trial forked, in-process, and re-simulated in full. */
+struct ThreeWays
+{
+    JobResult forked, inproc, full;
+    ForkExecutor::Stats fork_stats, inproc_stats;
+};
+
+ThreeWays
+runThreeWays(const JobSpec &spec)
+{
+    ThreeWays out;
+    SnapshotCache fork_cache, inproc_cache;
+    if (ForkExecutor::supported()) {
+        ForkExecutorConfig cfg;
+        cfg.runner.snapshots = &fork_cache;
+        ForkExecutor exec(cfg);
+        out.forked = exec.run({spec}).at(0);
+        out.fork_stats = exec.stats();
+    }
+    ForkExecutorConfig cfg;
+    cfg.use_fork = false;
+    cfg.runner.snapshots = &inproc_cache;
+    ForkExecutor exec(cfg);
+    out.inproc = exec.run({spec}).at(0);
+    out.inproc_stats = exec.stats();
+    out.full = executeJob(spec, RunnerConfig{});
+    return out;
+}
+
+void
+expectRowsMatchFullRun(const JobSpec &spec, const ThreeWays &t)
+{
+    const std::string full = row(spec, t.full);
+    EXPECT_EQ(t.full.run.reconverged_at, 0u);
+    EXPECT_EQ(row(spec, t.inproc), full);
+    if (ForkExecutor::supported()) {
+        EXPECT_EQ(row(spec, t.forked), full);
+    }
+}
+
+/** Restore @p g's barrier @p from, schedule @p fault, and run with the
+ *  golden set attached; @p hook sees every later barrier. */
+RunResult
+runFrom(const Golden &g, std::size_t from, const FaultRecord &fault,
+        const Simulation::SnapshotHook &hook)
+{
+    Simulation sim({"compress"}, g.options);
+    sim.restoreSnapshotBuffer(*(*g.set)[from].image);
+    sim.faultInjector().schedule(fault);
+    sim.setGoldenRun(g.set);
+    sim.setSnapshotHook(hook);
+    return sim.run();
+}
+
+} // namespace
+
+TEST(Reconvergence, DeadRegisterFlipStopsAtTheFirstBarrier)
+{
+    const Golden g = goldenRun();
+    ASSERT_GE(g.set->size(), 3u);
+    ASSERT_TRUE(g.set->end_image);
+    const Cycle restored = (*g.set)[0].cycle;
+    const Cycle first_after = (*g.set)[1].cycle;
+
+    // A register the kernel writes again before it reads it: the flip
+    // dies with the old value.  Which registers do that is up to the
+    // kernel, so take the first that reconverges right away.
+    FaultRecord f;
+    f.kind = FaultRecord::Kind::TransientReg;
+    f.when = restored + 20;
+    f.tid = 0;
+    f.bit = 7;
+    bool found = false;
+    for (RegIndex reg = 1; reg < 32 && !found; ++reg) {
+        f.reg = reg;
+        found = runFrom(g, 0, f, nullptr).reconverged_at == first_after;
+    }
+    ASSERT_TRUE(found) << "no register strike reconverged at the first "
+                          "barrier after it";
+
+    const JobSpec spec = trialSpec(g, f);
+    const ThreeWays t = runThreeWays(spec);
+    expectRowsMatchFullRun(spec, t);
+    const Cycle skipped = g.set->end_result.total_cycles - first_after;
+    EXPECT_EQ(t.inproc.run.reconverged_at, first_after);
+    EXPECT_EQ(t.inproc.run.cycles_skipped, skipped);
+    EXPECT_EQ(t.inproc_stats.reconverged, 1u);
+    EXPECT_EQ(t.inproc_stats.cycles_skipped, skipped);
+    if (ForkExecutor::supported()) {
+        EXPECT_EQ(t.forked.run.reconverged_at, first_after);
+        EXPECT_EQ(t.fork_stats.forked, 1u);
+        EXPECT_EQ(t.fork_stats.reconverged, 1u);
+        EXPECT_EQ(t.fork_stats.cycles_skipped, skipped);
+    }
+}
+
+TEST(Reconvergence, PermanentFuFaultNeverStopsEarly)
+{
+    const Golden g = goldenRun();
+    ASSERT_GE(g.set->size(), 2u);
+
+    // A stuck-at bit in an FP unit, which the integer kernel never
+    // uses: the state matches the golden run at every later barrier,
+    // but the fault stays armed, so the trial must run to the end.
+    FaultRecord f;
+    f.kind = FaultRecord::Kind::PermanentFu;
+    f.when = (*g.set)[0].cycle + 20;
+    f.fuIndex = 48;
+    f.mask = 1;
+    unsigned matched = 0;
+    const RunResult r =
+        runFrom(g, 0, f, [&](Cycle cycle, Simulation &sim) {
+            for (const CachedSnapshot &snap : *g.set) {
+                if (snap.cycle == cycle &&
+                    sim.matchesSnapshotBuffer(*snap.image))
+                    ++matched;
+            }
+        });
+    EXPECT_GE(matched, 1u);
+    EXPECT_EQ(r.reconverged_at, 0u);
+
+    const JobSpec spec = trialSpec(g, f);
+    const ThreeWays t = runThreeWays(spec);
+    expectRowsMatchFullRun(spec, t);
+    EXPECT_EQ(t.inproc.run.reconverged_at, 0u);
+    EXPECT_EQ(t.inproc_stats.reconverged, 0u);
+    if (ForkExecutor::supported()) {
+        EXPECT_EQ(t.forked.run.reconverged_at, 0u);
+        EXPECT_EQ(t.fork_stats.reconverged, 0u);
+    }
+}
+
+TEST(Reconvergence, ArmedDecodeStrikeDoesNotMatch)
+{
+    const Golden g = goldenRun();
+    ASSERT_GE(g.set->size(), 2u);
+    const SnapshotSet &set = *g.set;
+
+    // Strike the leading thread's decoder while barrier 1 drains: its
+    // fetch is frozen, so the strike is still armed, unconsumed, when
+    // the chip quiesces.  The armed flag is in the image.
+    const Cycle every = g.options.snapshot_every;
+    const Cycle nominal = (set[0].cycle / every + 1) * every;
+    ASSERT_GT(set[1].cycle, nominal + 1) << "barrier 1 drains in one cycle";
+    FaultRecord f;
+    f.kind = FaultRecord::Kind::TransientDecode;
+    f.when = nominal + 1;
+    f.tid = 0;
+    f.bit = 5;
+
+    bool checked = false;
+    const RunResult r =
+        runFrom(g, 0, f, [&](Cycle cycle, Simulation &sim) {
+            if (cycle != set[1].cycle)
+                return;
+            checked = true;
+            EXPECT_EQ(sim.faultInjector().transientsApplied(), 1u);
+            EXPECT_FALSE(sim.matchesSnapshotBuffer(*set[1].image));
+        });
+    EXPECT_TRUE(checked) << "the trial drained to a different cycle";
+    EXPECT_NE(r.reconverged_at, set[1].cycle);
+
+    const JobSpec spec = trialSpec(g, f);
+    expectRowsMatchFullRun(spec, runThreeWays(spec));
+}
+
+TEST(Reconvergence, StrikeAfterTheLastBarrierRunsToTheEnd)
+{
+    const Golden g = goldenRun();
+    ASSERT_FALSE(g.set->empty());
+    const Cycle last = g.set->back().cycle;
+    ASSERT_LT(last + 20, g.set->end_result.total_cycles);
+
+    FaultRecord f;
+    f.kind = FaultRecord::Kind::TransientReg;
+    f.when = last + 20;
+    f.tid = 0;
+    f.reg = 3;
+    f.bit = 9;
+    const JobSpec spec = trialSpec(g, f);
+    const ThreeWays t = runThreeWays(spec);
+    expectRowsMatchFullRun(spec, t);
+    EXPECT_EQ(t.inproc.run.reconverged_at, 0u);
+    EXPECT_EQ(t.inproc_stats.reconverged, 0u);
+    if (ForkExecutor::supported()) {
+        EXPECT_EQ(t.forked.run.reconverged_at, 0u);
+        EXPECT_EQ(t.fork_stats.reconverged, 0u);
+    }
+}
+
+TEST(Wire, TrialRecordCarriesTheReconvergenceFields)
+{
+    JobResult r = fullResult();
+    r.run.reconverged_at = 4321;
+    r.run.cycles_skipped = 8765;
+    const std::string payload = wire::encodeTrial(r);
+    const JobResult back = wire::decodeTrial(payload);
+    expectSameResult(r, back);
+    EXPECT_EQ(back.run.reconverged_at, 4321u);
+    EXPECT_EQ(back.run.cycles_skipped, 8765u);
+    // The persisted codec is unchanged: the fields ride after it.
+    EXPECT_EQ(payload.substr(0, payload.size() - 16),
+              wire::encodeJobResult(r));
+    EXPECT_THROW(wire::decodeTrial(payload.substr(0, 15)),
+                 wire::WireError);
+    EXPECT_THROW(wire::decodeTrial(payload.substr(0, payload.size() - 1)),
+                 wire::WireError);
 }

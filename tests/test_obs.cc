@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <utility>
+
 #include <set>
 #include <sstream>
 #include <string>
@@ -72,6 +76,48 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(parseJson("[1,2,]", v));
     EXPECT_FALSE(parseJson("{\"a\":1} trailing", v));
     EXPECT_FALSE(parseJson("\"unterminated", v));
+}
+
+TEST(Json, NumbersFollowTheRfc8259Grammar)
+{
+    for (const char *bad :
+         {"0x20", "inf", "-inf", "nan", "+1", ".5", "1.", "01", "-01",
+          "-", "1e", "1e+", "1.e3", "--1", "0x", "1e400"}) {
+        JsonValue v;
+        std::string error;
+        EXPECT_FALSE(parseJson(bad, v, error)) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+        EXPECT_FALSE(parseJson(std::string("{\"a\":") + bad + "}", v))
+            << bad;
+    }
+    const std::pair<const char *, double> good[] = {
+        {"0", 0}, {"-0", -0.0}, {"7", 7}, {"-12", -12}, {"1e3", 1000},
+        {"1E+3", 1000}, {"2.5e-3", 2.5e-3}, {"0.1", 0.1},
+        {"5e-324", 5e-324}, {"1.7976931348623157e308", 1.7976931348623157e308},
+    };
+    for (const auto &[text, value] : good) {
+        JsonValue v;
+        ASSERT_TRUE(parseJson(text, v)) << text;
+        ASSERT_TRUE(v.isNumber()) << text;
+        EXPECT_EQ(v.number(), value) << text;
+        EXPECT_EQ(std::signbit(v.number()), std::signbit(value)) << text;
+    }
+}
+
+TEST(Json, NumMatchesPrintfPercentPoint12g)
+{
+    std::vector<double> values = {
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308,
+        1.7976931348623157e308, 0.1, 1.75, 1e-5, 123.456, 1e21, 1e22,
+        999999999999.0, 1e12, 1e12 + 1, 123456789012345.0, 1e15 + 1,
+        9007199254740993.0, 0.000123456789012345, 1.0 / 3.0, -2.0 / 3.0};
+    for (std::uint64_t k = 1; k < (1ull << 60); k = k * 3 + 1)
+        values.push_back(static_cast<double>(k));
+    for (const double v : values) {
+        char expect[40];
+        std::snprintf(expect, sizeof(expect), "%.12g", v);
+        EXPECT_EQ(jsonNum(v), expect) << expect;
+    }
 }
 
 TEST(Json, EscapeRoundTrips)

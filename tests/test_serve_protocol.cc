@@ -293,6 +293,23 @@ TEST(ServeDrift, ExponentSpellingOfASmallIntegerRoundTrips)
     EXPECT_EQ(optionsCanonicalJson(got.jobs[1].options), canon);
 }
 
+TEST(ServeDrift, HexSpellingIsAParseError)
+{
+    // JSON has no hex literals: "0x20" must not slip through as 32 (or
+    // as 0 followed by junk).  The whole submit fails to parse, with
+    // the offset of the first character that is not JSON.
+    const std::string canon = optionsCanonicalJson(driftBase());
+    const std::string sent = edit(canon, "\"slack\":0", "\"slack\":0x20");
+    const std::string submit = submitWithOptions({sent});
+    JsonValue msg;
+    std::string error;
+    EXPECT_FALSE(parseJson(submit, msg, error));
+    EXPECT_NE(error.find("at offset " +
+                         std::to_string(submit.find("0x20") + 1)),
+              std::string::npos)
+        << error;
+}
+
 TEST(ServeDrift, IntegerAtOrAbove1e12IsRejected)
 {
     // Canonical text, but the double's %.12g rendering is "1e+12".

@@ -162,6 +162,32 @@ avf_args="--modes srt --workloads gcc,compress --stratify
 diff build/avf_forked.jsonl build/avf_inproc.jsonl
 grep -q '"avf_summary"' build/avf_forked.jsonl
 
+echo "== reconvergence: early-stopped trials match full re-simulation =="
+# A trial stops at the first barrier where its state equals the
+# fault-free run's, and takes that run's end state.  The forked and
+# --no-fork campaigns must write the rows --no-snapshot-fork (full
+# re-simulation) writes, once the snapshot bookkeeping ("extra") is
+# stripped, and the per-round stderr line must report at least one
+# trial that stopped early.
+rec_args="--modes srt,crt --workloads gcc,compress --stratify
+          --windows 2 --batch 4 --fault-trials 4 --warmup 500
+          --insts 4000 --snapshot-every 1000 --no-timing"
+./build/tools/rmtsim_batch $rec_args --out build/rec_forked.jsonl \
+    2> build/rec_forked.err
+./build/tools/rmtsim_batch $rec_args --no-fork \
+    --out build/rec_inproc.jsonl 2> build/rec_inproc.err
+./build/tools/rmtsim_batch $rec_args --no-snapshot-fork \
+    --out build/rec_full.jsonl 2> /dev/null
+for run in forked inproc full; do
+    sed 's/,"extra":{[^}]*}//' build/rec_$run.jsonl \
+        > build/rec_${run}_stripped.jsonl
+done
+diff build/rec_forked_stripped.jsonl build/rec_full_stripped.jsonl
+diff build/rec_inproc_stripped.jsonl build/rec_full_stripped.jsonl
+for run in forked inproc; do
+    grep -Eq '[1-9][0-9]* reconverged' build/rec_$run.err
+done
+
 echo "== serve: daemon resubmission is byte-identical and >=5x faster =="
 # Start rmtsimd on a fresh store, run the same client campaign twice:
 # the cold pass simulates every trial, the warm pass must be all store

@@ -6,7 +6,7 @@
  *   rmtsim_batch --modes srt,crt --workloads gcc,swim \
  *                --sweep slack=0,32,64 -j 8 --out results.jsonl
  *   rmtsim_batch --modes srt --workloads compress --fault-trials 100 \
- *                --insts 12000 --warmup 0 -j 8 --out faults.jsonl
+ *                --insts 12000 --warmup 0 --out faults.jsonl
  *
  * Job ids are assigned in grid order and results are emitted in id
  * order, so the output file is deterministic and independent of -j
@@ -114,8 +114,8 @@ usage()
         "\n"
         "execution:\n"
         "  -j, --jobs N      worker threads (default 1; 0 = all "
-        "cores); fault trials instead run through the fork() "
-        "executor\n"
+        "cores); fault campaigns ignore it: the fork() executor "
+        "runs one trial at a time\n"
         "  --no-fork         run fault trials in-process instead of "
         "as fork()ed children (non-POSIX / sanitizer builds)\n"
         "  --retries N       attempts per job (default 2 = retry "
@@ -670,11 +670,16 @@ main(int argc, char **argv)
                     std::fprintf(
                         stderr,
                         "round %u: %zu trials (%llu total, %llu "
-                        "forked)\n",
+                        "forked, %llu reconverged, %llu cycles "
+                        "skipped)\n",
                         sampler.rounds(), jobs.size(),
                         static_cast<unsigned long long>(total_jobs),
                         static_cast<unsigned long long>(
-                            exec.stats().forked));
+                            exec.stats().forked),
+                        static_cast<unsigned long long>(
+                            exec.stats().reconverged),
+                        static_cast<unsigned long long>(
+                            exec.stats().cycles_skipped));
                 }
             }
             if (g_stop.load(std::memory_order_relaxed))
